@@ -1,0 +1,6 @@
+"""Self-tests import the benchmark's modules the way ``run.py`` does."""
+
+import os
+import sys
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
