@@ -62,7 +62,7 @@ def _drive(replicas):
 
             async def scenario():
                 gateway = ClusterGateway(topology, config=GatewayConfig(
-                    port=0, health_interval_s=0.0, hedge_delay_ms=0.0))
+                    port=0, health_interval_s=0.0))
                 await gateway.start()
                 try:
                     # Warm request keeps per-backend engine warmup out

@@ -379,7 +379,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             crash_loop_window_s=args.crash_loop_window))
     config = GatewayConfig(
         host=args.host, port=args.port, unix_path=args.unix_socket,
-        hedge_delay_ms=args.hedge_delay_ms,
         health_interval_s=args.health_interval,
         request_timeout_s=args.request_timeout_ms / 1000.0,
         shard_concurrency=args.shard_concurrency,
@@ -672,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster",
                        help="run a gateway + backend fleet (scatter/"
-                            "gather, hedging, health-checked membership)")
+                            "gather, failover, health-checked membership)")
     p.add_argument("--reference", required=True, help="FASTA to serve")
     p.add_argument("--index",
                    help="prebuilt full-reference index store; backends "
@@ -693,9 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-backend batch size bound")
     p.add_argument("--max-wait-ms", type=float, default=2.0,
                    help="per-backend batch formation wait")
-    p.add_argument("--hedge-delay-ms", type=float, default=50.0,
-                   help="launch a hedged replica request after this "
-                        "long without a response (0 disables)")
     p.add_argument("--health-interval", type=float, default=0.5,
                    help="seconds between backend health pings "
                         "(0 disables eject/readmit)")
@@ -727,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scratch dir for shard FASTAs/indexes/logs/"
                         "cluster.json (default: a fresh temp dir)")
     p.add_argument("--trace-out", metavar="FILE",
-                   help="write a Chrome trace of route/hedge/gather "
+                   help="write a Chrome trace of route/gather "
                         "spans at shutdown")
     p.set_defaults(func=_cmd_cluster)
 

@@ -12,7 +12,7 @@ keeping every member busy.  The pieces:
 - :mod:`~repro.cluster.merge` — deterministic scatter/gather merge of
   per-shard align responses;
 - :mod:`~repro.cluster.gateway` — the NDJSON front door: routing,
-  failover, hedging, health-checked membership, per-backend breakers,
+  failover, health-checked membership, per-backend breakers,
   bounded deadline-aware admission queues, idempotency dedup, live ring
   reconciliation of restarted replicas;
 - :mod:`~repro.cluster.supervisor` — backend fleet as real processes

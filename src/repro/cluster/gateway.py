@@ -6,13 +6,14 @@ Wiring (one process, one event loop)::
        ▲                 │  replicated: one     (lazy AsyncServiceClient
        │                 │  replica via the      + CircuitBreaker +
        │                 │  hash ring, with      health state)
-       │                 │  failover + hedging
+       │                 │  failover
        │                 │  sharded: scatter to
        │                 ▼  every shard group
        └──merged responses── gather/merge
 
 The gateway speaks the *same* NDJSON protocol as a single
-:class:`~repro.service.server.AlignmentServer`, so every existing
+:class:`~repro.service.server.AlignmentServer` — both run the session
+layer of :mod:`repro.service.session` — so every existing
 client — ``ServiceClient``, ``ResilientAsyncClient``, the loadgen —
 points at a cluster unchanged.  Requests route by consistent-hashing
 the read id (pair id for pairs) onto a replica; sharded clusters
@@ -28,10 +29,9 @@ mode:
   ``health_failures`` consecutive misses (it leaves the hash ring, so
   new keys remap away) and **readmits** it after ``health_successes``
   consecutive answers;
-- connection errors fail over to the next replica in the ring's
-  deterministic preference order;
-- a **hedge** fires to the next replica when the primary is slower
-  than ``hedge_delay_ms``; first answer wins, losers are cancelled;
+- connection errors and retryable sheds fail over to the next replica
+  in the ring's deterministic preference order — each request is on
+  exactly one backend at a time, so no backend repeats another's work;
 - a bounded per-shard **admission queue** absorbs bursts above the
   shard's concurrency: waiters carry the request's latency budget and
   are shed with a typed ``queue_timeout`` (never executed, budget
@@ -44,13 +44,13 @@ mode:
   readmits it to the ring with a clean breaker — no operator, no
   manual readmit — and a crash-looping replica the supervisor gave up
   on is **retired** permanently (alert metric, never routed again);
-- the gateway's own :class:`~repro.faults.injectors.IdempotencyCache`
-  dedups client retries (store-before-write), and every backend call
-  carries a per-shard idempotency key derived from the client's, so a
-  backend killed mid-batch and a client retry can never double-compute
-  into the response stream.
+- the session layer's idempotency cache dedups client retries
+  (store-before-write), and every backend call carries a per-shard
+  idempotency key derived from the client's, so a backend killed
+  mid-batch and a client retry can never double-compute into the
+  response stream.
 
-Instrumentation: ``route``/``hedge``/``gather`` :mod:`repro.obs` spans
+Instrumentation: ``route``/``gather`` :mod:`repro.obs` spans
 per request, per-backend counters/gauges in a
 :class:`~repro.service.metrics.MetricsRegistry`, and a ``stats``
 response aggregating every backend snapshot via
@@ -60,52 +60,31 @@ response aggregating every backend snapshot via
 from __future__ import annotations
 
 import asyncio
-import itertools
 import logging
 import time
 import uuid
 from collections import deque
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Awaitable,
-    Callable,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Any, Awaitable, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.cluster.merge import merge_align_payloads
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.cluster.topology import ClusterTopology
 from repro.faults.breaker import STATE_CODES, CircuitBreaker
-from repro.faults.injectors import IdempotencyCache
-from repro.service.client import AsyncServiceClient, ServiceError
+from repro.service.client import AsyncServiceClient
 from repro.service.metrics import MetricsRegistry
 from repro.service.protocol import (
-    ERR_BAD_REQUEST,
     ERR_BUSY,
-    ERR_INTERNAL,
     ERR_OVERLOADED,
     ERR_QUEUE_TIMEOUT,
-    ERR_SHUTTING_DOWN,
-    ERR_TIMEOUT,
-    MAX_LINE_BYTES,
     RETRYABLE_ERRORS,
     TYPE_ALIGN,
     TYPE_ALIGN_PAIR,
-    TYPE_PING,
-    TYPE_STATS,
     AlignRequest,
-    ProtocolError,
-    decode_request,
-    error_response,
-    success_response,
+    ServiceError,
 )
+from repro.service.session import NdjsonFrontEnd
 
 logger = logging.getLogger("repro.cluster")
 
@@ -125,8 +104,6 @@ class GatewayConfig:
     port: int = 0                    # 0 = ephemeral; read gateway.port
     unix_path: Optional[str] = None
     vnodes: int = DEFAULT_VNODES     # ring points per backend
-    hedge_delay_ms: float = 50.0     # 0 disables hedging
-    hedge_max: int = 1               # extra in-flight hedges per request
     connect_timeout_s: float = 10.0
     request_timeout_s: float = 30.0  # 0 disables
     health_interval_s: float = 0.5   # 0 disables the health loop
@@ -152,12 +129,6 @@ class GatewayConfig:
         if self.default_budget_ms < 0:
             raise ValueError(f"default_budget_ms must be >= 0, "
                              f"got {self.default_budget_ms}")
-        if self.hedge_delay_ms < 0:
-            raise ValueError(
-                f"hedge_delay_ms must be >= 0, got {self.hedge_delay_ms}")
-        if self.hedge_max < 0:
-            raise ValueError(
-                f"hedge_max must be >= 0, got {self.hedge_max}")
         if self.health_failures < 1:
             raise ValueError(
                 f"health_failures must be >= 1, got {self.health_failures}")
@@ -179,7 +150,7 @@ class BackendHandle:
     multiplexed connection per backend) and recreates it after
     connection errors.  Unlike :class:`~repro.service.client.
     ResilientAsyncClient` it does **no** internal retry — the gateway
-    owns failover and hedging, and a handle that retried on its own
+    owns failover, and a handle that retried on its own
     would hide exactly the failures the router must see.
     """
 
@@ -256,12 +227,22 @@ class _BackendUnavailable(Exception):
     """This attempt failed in a way the router may absorb (next replica)."""
 
 
-class QueueFullShed(Exception):
+class QueueFullShed(ServiceError):
     """Admission refused outright: concurrency and queue both full."""
 
+    def __init__(self, message: str):
+        super().__init__(ERR_OVERLOADED, message)
 
-class QueueTimeoutShed(Exception):
-    """The request's budget expired while it sat in the admission queue."""
+
+class QueueTimeoutShed(ServiceError):
+    """The request's budget expired while it sat in the admission queue.
+
+    It never executed, but its budget is spent — distinct from ``busy``
+    so clients know a retry is pointless.
+    """
+
+    def __init__(self, message: str):
+        super().__init__(ERR_QUEUE_TIMEOUT, message)
 
 
 class AdmissionQueue:
@@ -369,8 +350,12 @@ class AdmissionQueue:
                 "max_depth": self.depth}
 
 
-class ClusterGateway:
+class ClusterGateway(NdjsonFrontEnd):
     """NDJSON gateway scattering/routing over a cluster of backends.
+
+    The NDJSON session (framing, decoding, idempotency, drain) is
+    :class:`~repro.service.session.NdjsonFrontEnd`'s; this class routes
+    each admitted align request.
 
     Args:
         topology: cluster shape with every backend's bound endpoint
@@ -380,6 +365,9 @@ class ClusterGateway:
         metrics: optional shared registry (a fresh one by default).
     """
 
+    span_name = "gw_request"
+    category = "cluster"
+
     def __init__(self, topology: ClusterTopology,
                  config: Optional[GatewayConfig] = None,
                  metrics: Optional[MetricsRegistry] = None):
@@ -388,9 +376,10 @@ class ClusterGateway:
                 raise ValueError(
                     f"backend {spec.backend_id} has no endpoint; "
                     f"call topology.with_endpoints() first")
+        super().__init__(config or GatewayConfig(),
+                         metrics or MetricsRegistry())
+        self.config: GatewayConfig
         self.topology = topology
-        self.config = config or GatewayConfig()
-        self.metrics = metrics or MetricsRegistry()
         self.handles: Dict[str, BackendHandle] = {
             spec.backend_id: BackendHandle(
                 spec.backend_id, spec.endpoint, spec.shard, self.config)
@@ -405,16 +394,9 @@ class ClusterGateway:
             shard: AdmissionQueue(shard, self.config.shard_concurrency,
                                   self.config.queue_depth, self.metrics)
             for shard in range(topology.shards)}
-        self._idempotency = IdempotencyCache(
-            self.config.idempotency_capacity)
-        self._server: Optional[asyncio.AbstractServer] = None
         self._health_task: Optional[asyncio.Task] = None
-        self._response_tasks: Set[asyncio.Task] = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._started_at = 0.0
-        self._shutting_down = False
         self._session = uuid.uuid4().hex[:12]
-        self._conn_ids = itertools.count(1)
         for backend_id in self.handles:
             self.metrics.set_gauge(f"backend_{backend_id}_healthy", 1)
             self.metrics.set_gauge(f"backend_{backend_id}_breaker_state",
@@ -427,58 +409,24 @@ class ClusterGateway:
     # Lifecycle
     # ------------------------------------------------------------------ #
 
-    @property
-    def port(self) -> Optional[int]:
-        if self._server is None or self.config.unix_path is not None:
-            return None
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
-    def endpoint(self) -> str:
-        if self.config.unix_path is not None:
-            return f"unix:{self.config.unix_path}"
-        return f"{self.config.host}:{self.port}"
-
     async def start(self) -> None:
-        if self._server is not None:
+        if self._listener is not None:
             raise RuntimeError("gateway already started")
-        cfg = self.config
-        if cfg.unix_path is not None:
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=cfg.unix_path,
-                limit=MAX_LINE_BYTES)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, host=cfg.host, port=cfg.port,
-                limit=MAX_LINE_BYTES)
-        if cfg.health_interval_s > 0:
+        await self._listen()
+        if self.config.health_interval_s > 0:
             self._health_task = asyncio.ensure_future(self._health_loop())
         # Captured so supervisor threads can bridge membership events
         # onto this loop (notify_endpoint / notify_retired).
         self._loop = asyncio.get_running_loop()
-        self._started_at = time.monotonic()
-        logger.info(
-            "cluster gateway on %s (%dx%d backends, hedge=%.0fms)",
-            self.endpoint, self.topology.shards, self.topology.replicas,
-            cfg.hedge_delay_ms)
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
+        logger.info("cluster gateway on %s (%dx%d backends)", self.endpoint,
+                    self.topology.shards, self.topology.replicas)
 
     async def shutdown(self) -> None:
         """Stop accepting, drain in-flight requests, close backends."""
-        if self._server is None:
+        if self._listener is None:
             return
-        self._shutting_down = True
-        self._server.close()
-        await self._server.wait_closed()
-        if self._response_tasks:
-            await asyncio.gather(*list(self._response_tasks),
-                                 return_exceptions=True)
+        self._stop_listening()
+        await self._drain_responses()
         if self._health_task is not None:
             self._health_task.cancel()
             try:
@@ -489,197 +437,28 @@ class ClusterGateway:
             await handle.close()
         logger.info("gateway drained and stopped: %s",
                     self.metrics.format_line())
-        self._server = None
-
-    # ------------------------------------------------------------------ #
-    # Connection handling (same protocol discipline as AlignmentServer)
-    # ------------------------------------------------------------------ #
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        lock = asyncio.Lock()
-        conn_id = next(self._conn_ids)
-        self.metrics.inc("connections_total")
-        self.metrics.gauge("connections").inc()
-        try:
-            while True:
-                try:
-                    raw = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._write(writer, lock, error_response(
-                        None, ERR_BAD_REQUEST, "request line too long"))
-                    break
-                if not raw:
-                    break
-                line = raw.decode("utf-8", errors="replace").strip()
-                if not line:
-                    continue
-                await self._dispatch(writer, lock, line, conn_id)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self.metrics.gauge("connections").dec()
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    async def _dispatch(self, writer: asyncio.StreamWriter,
-                        lock: asyncio.Lock, line: str,
-                        conn_id: int) -> None:
-        self.metrics.inc("requests_total")
-        try:
-            request = decode_request(line)
-        except ProtocolError as exc:
-            self.metrics.inc("bad_requests_total")
-            self.metrics.inc("errors_total")
-            await self._write(writer, lock,
-                              error_response(None, ERR_BAD_REQUEST,
-                                             str(exc)))
-            return
-        if request.type == TYPE_PING:
-            await self._write(writer, lock, success_response(
-                request.request_id, pong=True))
-            return
-        if request.type == TYPE_STATS:
-            task = asyncio.ensure_future(
-                self._respond_stats(writer, lock, request))
-            self._track(task)
-            return
-        if self._shutting_down:
-            self.metrics.inc("errors_total")
-            await self._write(writer, lock, error_response(
-                request.request_id, ERR_SHUTTING_DOWN,
-                "gateway draining"))
-            return
-        self.metrics.inc("pair_requests_total"
-                         if request.type == TYPE_ALIGN_PAIR
-                         else "align_requests_total")
-        self.metrics.gauge("in_flight").inc()
-        task = asyncio.ensure_future(
-            self._respond_align(writer, lock, request, conn_id,
-                                time.monotonic()))
-        self._track(task)
-
-    def _track(self, task: asyncio.Task) -> None:
-        self._response_tasks.add(task)
-        task.add_done_callback(self._response_tasks.discard)
-
-    async def _write(self, writer: asyncio.StreamWriter,
-                     lock: asyncio.Lock, line: str) -> None:
-        if writer.is_closing():
-            return
-        try:
-            # Response lines must hit the socket whole; serializing
-            # across drain() per connection is the point.
-            async with lock:  # repro-lint: disable=lock-across-await
-                writer.write(line.encode("utf-8") + b"\n")
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, RuntimeError):
-            pass
+        self._listener = None
 
     # ------------------------------------------------------------------ #
     # Align routing
     # ------------------------------------------------------------------ #
 
-    async def _respond_align(self, writer: asyncio.StreamWriter,
-                             lock: asyncio.Lock, request: AlignRequest,
-                             conn_id: int,
-                             submitted_at: float) -> None:
-        req_span = obs.begin("gw_request", "cluster",
-                             request_id=request.request_id,
-                             type=request.type)
-        outcome = "ok"
-        try:
-            if request.idempotency_key is not None:
-                cached = self._idempotency.get(request.idempotency_key)
-                if cached is not None:
-                    self.metrics.inc("idempotent_hits_total")
-                    obs.instant("idempotent_hit", "cluster",
-                                request_id=request.request_id)
-                    req_span.end(outcome="idempotent_hit")
-                    await self._write(writer, lock, success_response(
-                        request.request_id, **cached))
-                    return  # the finally still settles in_flight/latency
-            # A request budget bounds the whole gateway round trip:
-            # admission waits shed at the deadline (queue_timeout) and
-            # execution is capped at the remaining budget plus a small
-            # grace so queue sheds — typed, actionable — win the race
-            # against the blunt outer timeout.
-            budget_ms = request.budget_ms or \
-                self.config.default_budget_ms or None
-            timeout = self.config.request_timeout_s or None
-            deadline: Optional[float] = None
-            if budget_ms is not None:
-                budget_s = budget_ms / 1000.0
-                deadline = submitted_at + budget_s
-                capped = budget_s + _BUDGET_GRACE_S
-                timeout = capped if timeout is None else min(timeout,
-                                                             capped)
-            try:
-                payload = await asyncio.wait_for(
-                    self._route(request, conn_id, deadline), timeout)
-                if request.idempotency_key is not None:
-                    # Store before the write: a response lost to a
-                    # dropped client connection must still dedup the
-                    # retry (exactly-once across the whole tier).
-                    self._idempotency.put(request.idempotency_key,
-                                          payload)
-                self.metrics.inc("responses_total")
-                line = success_response(request.request_id, **payload)
-            except asyncio.TimeoutError:
-                self.metrics.inc("timeouts_total")
-                self.metrics.inc("errors_total")
-                outcome = ERR_TIMEOUT
-                line = error_response(
-                    request.request_id, ERR_TIMEOUT,
-                    f"deadline of {self.config.request_timeout_s}s "
-                    f"exceeded at the gateway")
-            except ServiceError as exc:
-                self.metrics.inc("errors_total")
-                outcome = exc.code
-                line = error_response(request.request_id, exc.code,
-                                      str(exc))
-            except QueueTimeoutShed as exc:
-                # Typed deadline shed: the request never executed but
-                # its budget is spent — distinct from ``busy`` so
-                # clients know a retry is pointless.
-                self.metrics.inc("shed_queue_timeout_total")
-                self.metrics.inc("errors_total")
-                outcome = ERR_QUEUE_TIMEOUT
-                line = error_response(request.request_id,
-                                      ERR_QUEUE_TIMEOUT, str(exc))
-            except QueueFullShed as exc:
-                self.metrics.inc("shed_queue_full_total")
-                self.metrics.inc("errors_total")
-                outcome = ERR_OVERLOADED
-                line = error_response(request.request_id, ERR_OVERLOADED,
-                                      str(exc))
-            except _BackendUnavailable as exc:
-                # Every candidate replica failed: shed retryably — the
-                # client's RetryPolicy backs off while health/breakers
-                # recover, exactly like a single server in degraded
-                # mode.
-                self.metrics.inc("unroutable_total")
-                self.metrics.inc("shed_busy_total")
-                self.metrics.inc("errors_total")
-                outcome = ERR_BUSY
-                line = error_response(
-                    request.request_id, ERR_BUSY,
-                    f"no routable backend: {exc}")
-            except Exception as exc:  # never leave a request unanswered
-                self.metrics.inc("errors_total")
-                outcome = ERR_INTERNAL
-                logger.exception("gateway routing failed for %s",
-                                 request.request_id)
-                line = error_response(request.request_id, ERR_INTERNAL,
-                                      str(exc))
-        finally:
-            self.metrics.gauge("in_flight").dec()
-            self.metrics.observe("latency_s",
-                                 time.monotonic() - submitted_at)
-        req_span.end(outcome=outcome)
-        await self._write(writer, lock, line)
+    def _admit(self, request: AlignRequest, conn_id: int,
+               span: Any) -> Awaitable[Dict[str, Any]]:
+        # A request budget bounds the whole gateway round trip:
+        # admission waits shed at the deadline (queue_timeout) and
+        # execution is capped at the remaining budget plus a small grace
+        # so queue sheds — typed, actionable — win the race against the
+        # blunt outer timeout.
+        budget_ms = request.budget_ms or self.config.default_budget_ms
+        timeout = self.config.request_timeout_s or None
+        deadline: Optional[float] = None
+        if budget_ms:
+            deadline = time.monotonic() + budget_ms / 1000.0
+            capped = budget_ms / 1000.0 + _BUDGET_GRACE_S
+            timeout = capped if timeout is None else min(timeout, capped)
+        return asyncio.wait_for(self._route(request, conn_id, deadline),
+                                timeout)
 
     def _routing_key(self, request: AlignRequest) -> str:
         if request.type == TYPE_ALIGN_PAIR:
@@ -689,9 +468,9 @@ class ClusterGateway:
     def _idem_base(self, request: AlignRequest, conn_id: int) -> str:
         # Derive backend keys from the client's key when present so a
         # client retry deduplicates on the backends too; otherwise a
-        # gateway-unique base (hedges/failovers of one logical request
-        # still share it).  The connection id matters: request ids are
-        # only unique per client connection, so a key without it would
+        # gateway-unique base (failovers of one logical request still
+        # share it).  The connection id matters: request ids are only
+        # unique per client connection, so a key without it would
         # collide across connections and replay a stranger's cached
         # response from a backend's idempotency cache.
         if request.idempotency_key is not None:
@@ -714,46 +493,69 @@ class ClusterGateway:
                 if not self.handles[bid].retired]
 
     async def _route(self, request: AlignRequest, conn_id: int,
-                     deadline: Optional[float] = None) -> Dict[str, Any]:
+                     deadline: Optional[float]) -> Dict[str, Any]:
         key = self._routing_key(request)
         idem_base = self._idem_base(request, conn_id)
-        if not self.topology.sharded:
-            with obs.span("route", "cluster", key=key, shard=0):
-                return await self._call_group(0, key, request,
-                                              f"{idem_base}#s0",
-                                              deadline)
-        # Scatter to every shard group, gather, merge deterministically.
-        self.metrics.inc("scatters_total")
-        with obs.span("gather", "cluster", key=key,
-                      shards=self.topology.shards):
-            results = await asyncio.gather(
-                *(self._call_group(shard, key, request,
-                                   f"{idem_base}#s{shard}", deadline)
-                  for shard in range(self.topology.shards)))
-        return merge_align_payloads(list(enumerate(results)))
+        try:
+            if not self.topology.sharded:
+                with obs.span("route", "cluster", key=key, shard=0):
+                    return await self._call_group(0, key, request,
+                                                  f"{idem_base}#s0",
+                                                  deadline)
+            # Scatter to every shard group, gather, merge
+            # deterministically.
+            self.metrics.inc("scatters_total")
+            with obs.span("gather", "cluster", key=key,
+                          shards=self.topology.shards):
+                results = await asyncio.gather(
+                    *(self._call_group(shard, key, request,
+                                       f"{idem_base}#s{shard}", deadline)
+                      for shard in range(self.topology.shards)))
+            return merge_align_payloads(list(enumerate(results)))
+        except QueueTimeoutShed:
+            self.metrics.inc("shed_queue_timeout_total")
+            raise
+        except QueueFullShed:
+            self.metrics.inc("shed_queue_full_total")
+            raise
+        except _BackendUnavailable as exc:
+            # Every candidate replica failed: shed retryably — the
+            # client's RetryPolicy backs off while health/breakers
+            # recover, exactly like a single server in degraded mode.
+            self.metrics.inc("unroutable_total")
+            self.metrics.inc("shed_busy_total")
+            raise ServiceError(ERR_BUSY,
+                               f"no routable backend: {exc}") from exc
 
     async def _call_group(self, shard: int, key: str,
                           request: AlignRequest, idem_key: str,
-                          deadline: Optional[float] = None
-                          ) -> Dict[str, Any]:
-        """One logical call against ``shard``'s replica group:
-        admission gate, then preference-ordered failover plus hedging,
-        first answer wins."""
+                          deadline: Optional[float]) -> Dict[str, Any]:
+        """One logical call against ``shard``'s replica group: admission
+        gate, then failover down the preference order.
+
+        The request is on one backend at a time.  A failure the router
+        may absorb (:class:`_BackendUnavailable`) moves it to the next
+        candidate and counts a failover; any other error propagates;
+        when every candidate has failed, the last failure is raised.
+        """
         queue = self._queues[shard]
         await queue.acquire(deadline)
         try:
             candidates = self._candidates(shard, key)
-            if not candidates:
-                raise _BackendUnavailable(
-                    f"shard {shard}: every replica retired or ejected")
-
-            def call_factory(handle: BackendHandle
-                             ) -> Awaitable[Dict[str, Any]]:
-                return self._call_backend(handle, request, idem_key)
-
+            failure = _BackendUnavailable(
+                f"shard {shard}: every replica retired or ejected")
             with obs.span("route", "cluster", key=key, shard=shard,
-                          primary=candidates[0].backend_id):
-                return await self._race(candidates, call_factory)
+                          primary=(candidates[0].backend_id
+                                   if candidates else None)):
+                for attempt, handle in enumerate(candidates):
+                    if attempt:
+                        self.metrics.inc("failovers_total")
+                    try:
+                        return await self._call_backend(handle, request,
+                                                        idem_key)
+                    except _BackendUnavailable as exc:
+                        failure = exc
+            raise failure
         finally:
             queue.release()
 
@@ -796,93 +598,6 @@ class ClusterGateway:
         handle.breaker.record_success()
         self._sync_breaker_gauge(handle)
         return {k: v for k, v in obj.items() if k not in _FRAMING_KEYS}
-
-    async def _race(self, candidates: List[BackendHandle],
-                    call_factory: Callable[[BackendHandle],
-                                           Awaitable[Dict[str, Any]]]
-                    ) -> Dict[str, Any]:
-        """Failover + hedging over ``candidates`` (preference order).
-
-        The primary launches immediately.  A **hedge** launches the next
-        candidate when nothing has answered within ``hedge_delay_ms``
-        (up to ``hedge_max`` extra in flight); a **failover** launches
-        the next candidate when an attempt fails.  The first success
-        wins and every other in-flight attempt is cancelled — their
-        client-side futures are dropped, so a slow loser can never
-        deliver a second payload into the response path.
-        """
-        cfg = self.config
-        hedge_delay = (cfg.hedge_delay_ms / 1000.0
-                       if cfg.hedge_delay_ms > 0 else None)
-        pending: Set[asyncio.Task] = set()
-        reasons: Dict[asyncio.Task, str] = {}
-        launched = 0
-        failures = 0
-        last_error: Optional[_BackendUnavailable] = None
-
-        def launch(reason: str) -> None:
-            nonlocal launched
-            task = asyncio.ensure_future(
-                call_factory(candidates[launched]))
-            reasons[task] = reason
-            pending.add(task)
-            launched += 1
-
-        try:
-            launch("primary")
-            while True:
-                if not pending:
-                    if launched >= len(candidates):
-                        raise last_error or _BackendUnavailable(
-                            "no candidates")
-                    self.metrics.inc("failovers_total")
-                    launch("failover")
-                    continue
-                # One hedge may be in flight per recorded failure plus
-                # the configured hedge budget; failovers after a failure
-                # are always allowed (handled above when pending drains).
-                may_hedge = (hedge_delay is not None
-                             and launched < len(candidates)
-                             and launched < failures + 1 + cfg.hedge_max)
-                done, pending = await asyncio.wait(
-                    pending, timeout=hedge_delay if may_hedge else None,
-                    return_when=asyncio.FIRST_COMPLETED)
-                if not done:
-                    # Everything in flight is slow: hedge to the next
-                    # replica in preference order.
-                    self.metrics.inc("hedges_total")
-                    obs.instant("hedge", "cluster",
-                                backend=candidates[launched].backend_id,
-                                in_flight=len(pending))
-                    launch("hedge")
-                    continue
-                winner = next(
-                    (t for t in done if t.exception() is None), None)
-                if winner is not None:
-                    for task in done:
-                        if task is not winner:
-                            task.exception()  # consumed: loser's error
-                    if reasons[winner] == "hedge":
-                        self.metrics.inc("hedge_wins_total")
-                    return winner.result()
-                non_retryable: Optional[BaseException] = None
-                for task in done:
-                    exc = task.exception()
-                    if isinstance(exc, _BackendUnavailable):
-                        failures += 1
-                        last_error = exc
-                    elif non_retryable is None and exc is not None:
-                        non_retryable = exc
-                if non_retryable is not None:
-                    raise non_retryable
-        finally:
-            # Cancel the losers (and failed stragglers): exactly one
-            # payload per logical request leaves this function, and a
-            # slow loser's in-flight backend call dies with its task.
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
 
     # ------------------------------------------------------------------ #
     # Health loop
@@ -1061,14 +776,6 @@ class ClusterGateway:
     # ------------------------------------------------------------------ #
     # Stats aggregation
     # ------------------------------------------------------------------ #
-
-    async def _respond_stats(self, writer: asyncio.StreamWriter,
-                             lock: asyncio.Lock,
-                             request: AlignRequest) -> None:
-        stats = await self.stats_payload()
-        await self._write(writer, lock,
-                          success_response(request.request_id,
-                                           stats=stats))
 
     async def _backend_stats(self, handle: BackendHandle
                              ) -> Optional[Dict[str, Any]]:

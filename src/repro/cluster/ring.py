@@ -12,8 +12,8 @@ Classic consistent hashing: every member owns ``vnodes`` points on a
 and Python versions — builtin ``hash`` is salted per process and must
 never be used here).  A key routes to the first member point clockwise
 from the key's own point.  :meth:`HashRing.preference` walks further
-clockwise to yield a deterministic failover/hedging order over the
-*distinct* members, which is how the gateway picks hedge replicas.
+clockwise to yield a deterministic failover order over the
+*distinct* members, which is how the gateway picks the next replica.
 """
 
 from __future__ import annotations
@@ -128,8 +128,8 @@ class HashRing:
         """Distinct members in clockwise order from ``key``'s point.
 
         The first entry is :meth:`route`'s answer; the rest are the
-        deterministic failover/hedge order.  ``count`` truncates (0 =
-        all members).
+        deterministic failover order.  ``count`` truncates (0 = all
+        members).
         """
         if not self._members:
             raise LookupError("ring has no members")

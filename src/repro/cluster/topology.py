@@ -6,8 +6,9 @@ replica of shard ``s`` serves an identical index over that subset:
 
 - **replicated** (``shards == 1``): every backend holds the whole
   reference; the gateway consistent-hashes each request's read id onto
-  one replica and the others are failover/hedge targets.  Responses are
-  bit-identical to a single server by construction.
+  one replica and the others are failover targets, in the ring's
+  preference order.  Responses are bit-identical to a single server by
+  construction.
 - **sharded** (``shards > 1``): the gateway has no FM-index of its own,
   so it cannot know which shard a read's seeds land in; align requests
   scatter to every shard group and the gathered candidates merge under

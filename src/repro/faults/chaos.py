@@ -258,7 +258,6 @@ async def _cluster_run(topology: Any, supervisor: Any, specs: Any,
 
     result: Dict[str, Any] = {}
     config = GatewayConfig(host="127.0.0.1", port=0,
-                           hedge_delay_ms=100.0,
                            health_interval_s=0.2,
                            health_failures=2,
                            breaker_cooldown_s=0.5)
@@ -322,7 +321,6 @@ async def _cluster_run(topology: Any, supervisor: Any, specs: Any,
     # every outcome must be a success or a typed shed.
     overload_cfg = GatewayConfig(
         host="127.0.0.1", port=0,
-        hedge_delay_ms=0.0,          # hedging would double-book the slot
         health_interval_s=0.2,
         shard_concurrency=_OVERLOAD_CONCURRENCY,
         queue_depth=_OVERLOAD_QUEUE_DEPTH)

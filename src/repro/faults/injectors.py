@@ -18,7 +18,7 @@ applies the returned fault, so *what* goes wrong stays in the plan and
   recomputed (and possibly double-applied).
 
 Connection-drop and shard-kill shims live inline at their boundaries
-(:meth:`repro.service.server.AlignmentServer._write` and
+(the server's write hook ``AlignmentServer._drop_connection`` and
 :func:`repro.runtime.sharded.run_resilient`) because they need transport
 and process handles this module should not own.
 """

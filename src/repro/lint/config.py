@@ -70,6 +70,7 @@ DEFAULT_SCOPES: Dict[str, List[str]] = {
         "src/repro/service/protocol.py",
         "src/repro/service/client.py",
         "src/repro/service/server.py",
+        "src/repro/service/session.py",
         "src/repro/service/engine.py",
         "src/repro/service/loadgen.py",
         "src/repro/cluster/gateway.py",

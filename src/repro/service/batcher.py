@@ -20,7 +20,7 @@ one max_wait of the kernel time.
 
 Admission control is a bounded queue: :meth:`DynamicBatcher.submit`
 raises :class:`ServiceOverloadedError` once ``queue_depth`` requests are
-waiting, which the server maps to an ``overloaded`` response (the moral
+waiting, which reaches the client as an ``overloaded`` response (the moral
 HTTP 429) instead of letting latency grow without bound. A closed
 batcher keeps handing out queued work until empty — that is the graceful
 drain path — but admits nothing new.
@@ -37,6 +37,11 @@ from collections import deque
 
 from repro import obs
 from repro.service.metrics import MetricsRegistry
+from repro.service.protocol import (
+    ERR_OVERLOADED,
+    ERR_SHUTTING_DOWN,
+    ServiceError,
+)
 
 #: Default knobs: a full extension-kernel batch, and a wait bound that is
 #: small next to per-read alignment time (~ms) so batching is nearly free.
@@ -45,12 +50,18 @@ DEFAULT_MAX_WAIT_S = 0.002
 DEFAULT_QUEUE_DEPTH = 1024
 
 
-class ServiceOverloadedError(RuntimeError):
+class ServiceOverloadedError(ServiceError):
     """Admission control rejected the request (queue at capacity)."""
 
+    def __init__(self, message: str):
+        super().__init__(ERR_OVERLOADED, message)
 
-class ServiceClosedError(RuntimeError):
+
+class ServiceClosedError(ServiceError):
     """The batcher is draining or closed; no new work is admitted."""
+
+    def __init__(self, message: str):
+        super().__init__(ERR_SHUTTING_DOWN, message)
 
 
 @dataclass

@@ -36,19 +36,12 @@ from repro.service.protocol import (
     TYPE_PING,
     TYPE_STATS,
     ProtocolError,
+    ServiceError,
     decode_response,
     encode_align,
     encode_align_pair,
     encode_control,
 )
-
-
-class ServiceError(RuntimeError):
-    """An ``ok: false`` response, with its protocol error code."""
-
-    def __init__(self, code: str, message: str = ""):
-        super().__init__(f"{code}: {message}" if message else code)
-        self.code = code
 
 
 def parse_endpoint(endpoint: str) -> Tuple[Optional[str], Optional[int],

@@ -30,11 +30,20 @@ from repro.align.pipeline import SoftwareAligner
 from repro.align.sam import sam_record
 from repro.genome.pairs import ReadPair
 from repro.genome.reference import ReferenceGenome
-from repro.service.protocol import AlignRequest, TYPE_ALIGN, TYPE_ALIGN_PAIR
+from repro.service.protocol import (
+    ERR_INTERNAL,
+    TYPE_ALIGN,
+    TYPE_ALIGN_PAIR,
+    AlignRequest,
+    ServiceError,
+)
 
 
-class EngineError(RuntimeError):
+class EngineError(ServiceError):
     """Execution failed for one request after the server's retries."""
+
+    def __init__(self, message: str):
+        super().__init__(ERR_INTERNAL, message)
 
 
 class AlignmentEngine:

@@ -100,6 +100,20 @@ class ProtocolError(ValueError):
     """Raised when a line cannot be decoded into a valid request."""
 
 
+class ServiceError(RuntimeError):
+    """A request that failed with a protocol error code.
+
+    Clients raise it for an ``ok: false`` response; on the serving side
+    every typed refusal or failure is one, so the front end answers it
+    with ``code`` and ``message`` unchanged.
+    """
+
+    def __init__(self, code: str, message: str = ""):
+        super().__init__(f"{code}: {message}" if message else code)
+        self.code = code
+        self.message = message
+
+
 @dataclass(frozen=True)
 class AlignRequest:
     """A decoded alignment request (single read or pair)."""

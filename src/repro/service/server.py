@@ -8,7 +8,8 @@ Wiring (one process, one event loop)::
          └──────responses────── controlled)              executor)
 
 Each accepted connection speaks the NDJSON protocol of
-:mod:`repro.service.protocol`. ``align``/``align_pair`` requests are
+:mod:`repro.service.protocol` through the session layer of
+:mod:`repro.service.session`. ``align``/``align_pair`` requests are
 admitted into the :class:`~repro.service.batcher.DynamicBatcher`; worker
 tasks pull kernel-sized batches and execute them on a thread-pool
 executor, each worker owning a private
@@ -45,7 +46,7 @@ Robustness contract (pinned by tests):
 Fault injection: construct with a :class:`~repro.faults.plan.
 FaultInjector` and the server wraps every engine in a
 :class:`~repro.faults.injectors.FaultyEngine` (crash/latency faults at
-the ``engine`` site) and routes response writes through the
+the ``engine`` site) and hooks the session's response writes to the
 ``conn_write`` site (drops and partial writes).  No injector, no
 overhead — the hot paths check a single ``is not None``.
 """
@@ -56,37 +57,19 @@ import asyncio
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Set
+from dataclasses import dataclass
+from typing import Any, Awaitable, Callable, Dict, Optional
 
 from repro import obs
 from repro.faults.breaker import STATE_CODES, CircuitBreaker
-from repro.faults.injectors import FaultyEngine, IdempotencyCache
+from repro.faults.injectors import FaultyEngine
 from repro.faults.plan import CONN_DROP, SITE_CONN_WRITE, FaultInjector
 from repro.genome.reference import ReferenceGenome
-from repro.service.batcher import (
-    DynamicBatcher,
-    ServiceClosedError,
-    ServiceOverloadedError,
-)
+from repro.service.batcher import DynamicBatcher, ServiceClosedError
 from repro.service.engine import AlignmentEngine, EngineError
 from repro.service.metrics import MetricsRegistry
-from repro.service.protocol import (
-    ERR_BAD_REQUEST,
-    ERR_BUSY,
-    ERR_INTERNAL,
-    ERR_OVERLOADED,
-    ERR_SHUTTING_DOWN,
-    ERR_TIMEOUT,
-    MAX_LINE_BYTES,
-    ProtocolError,
-    TYPE_ALIGN_PAIR,
-    TYPE_PING,
-    TYPE_STATS,
-    decode_request,
-    error_response,
-    success_response,
-)
+from repro.service.protocol import ERR_BUSY, AlignRequest, ServiceError
+from repro.service.session import Connection, NdjsonFrontEnd
 
 logger = logging.getLogger("repro.service")
 
@@ -144,16 +127,12 @@ class ServerConfig:
                              f"got {self.idempotency_capacity}")
 
 
-@dataclass
-class _Connection:
-    """Per-connection write serialization."""
-
-    writer: asyncio.StreamWriter
-    lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-
-
-class AlignmentServer:
+class AlignmentServer(NdjsonFrontEnd):
     """Online alignment service over a fixed reference genome.
+
+    The NDJSON session (framing, decoding, idempotency, drain) is
+    :class:`~repro.service.session.NdjsonFrontEnd`'s; this class admits
+    align requests into its batcher and runs the workers behind it.
 
     Args:
         reference: genome every request aligns against.
@@ -172,14 +151,16 @@ class AlignmentServer:
                  metrics: Optional[MetricsRegistry] = None,
                  engine_factory: Optional[Callable[[], Any]] = None,
                  fault_injector: Optional[FaultInjector] = None):
+        super().__init__(config or ServerConfig(),
+                         metrics or MetricsRegistry())
+        self.config: ServerConfig
         self.reference = reference
-        self.config = config or ServerConfig()
-        self.metrics = metrics or MetricsRegistry()
         base_factory = engine_factory or self._default_engine_factory
         self._injector = fault_injector
         if fault_injector is not None:
             self._engine_factory: Callable[[], Any] = (
                 lambda: FaultyEngine(base_factory(), fault_injector))
+            self._write_hook = self._drop_connection
         else:
             self._engine_factory = base_factory
         self.breaker = CircuitBreaker(
@@ -190,16 +171,10 @@ class AlignmentServer:
             on_transition=self._on_breaker_transition)
         self.metrics.set_gauge("breaker_state",
                                STATE_CODES[self.breaker.state])
-        self._idempotency = IdempotencyCache(
-            self.config.idempotency_capacity)
         self._batcher: Optional[DynamicBatcher] = None
-        self._server: Optional[asyncio.AbstractServer] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._worker_tasks: list = []
         self._stats_task: Optional[asyncio.Task] = None
-        self._response_tasks: Set[asyncio.Task] = set()
-        self._started_at = 0.0
-        self._shutting_down = False
 
     def _default_engine_factory(self) -> AlignmentEngine:
         """One engine per worker; mmap-attach the index when configured.
@@ -229,22 +204,9 @@ class AlignmentServer:
     # Lifecycle
     # ------------------------------------------------------------------ #
 
-    @property
-    def port(self) -> Optional[int]:
-        """Bound TCP port (after :meth:`start`), or None on UNIX sockets."""
-        if self._server is None or self.config.unix_path is not None:
-            return None
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
-    def endpoint(self) -> str:
-        if self.config.unix_path is not None:
-            return f"unix:{self.config.unix_path}"
-        return f"{self.config.host}:{self.port}"
-
     async def start(self) -> None:
         """Bind, spin up workers, start accepting connections."""
-        if self._server is not None:
+        if self._listener is not None:
             raise RuntimeError("server already started")
         cfg = self.config
         self._batcher = DynamicBatcher(
@@ -257,36 +219,19 @@ class AlignmentServer:
         self._worker_tasks = [
             asyncio.ensure_future(self._worker(idx))
             for idx in range(cfg.workers)]
-        if cfg.unix_path is not None:
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=cfg.unix_path,
-                limit=MAX_LINE_BYTES)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, host=cfg.host, port=cfg.port,
-                limit=MAX_LINE_BYTES)
+        await self._listen()
         if cfg.stats_interval_s > 0:
             self._stats_task = asyncio.ensure_future(self._stats_logger())
-        self._started_at = time.monotonic()
         logger.info("serving alignments on %s (max_batch=%d max_wait=%.1fms "
                     "queue_depth=%d workers=%d)", self.endpoint,
                     cfg.max_batch, cfg.max_wait_ms, cfg.queue_depth,
                     cfg.workers)
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-
     async def shutdown(self, drain: bool = True) -> None:
         """Stop accepting; optionally drain queued work before teardown."""
-        if self._server is None:
+        if self._listener is None:
             return
-        self._shutting_down = True
-        self._server.close()
-        await self._server.wait_closed()
+        self._stop_listening()
         assert self._batcher is not None
         if not drain:
             # Fail queued work fast rather than executing it.
@@ -295,9 +240,7 @@ class AlignmentServer:
         self._batcher.close()
         if self._worker_tasks:
             await asyncio.gather(*self._worker_tasks)
-        if self._response_tasks:
-            await asyncio.gather(*list(self._response_tasks),
-                                 return_exceptions=True)
+        await self._drain_responses()
         if self._stats_task is not None:
             self._stats_task.cancel()
             try:
@@ -307,200 +250,51 @@ class AlignmentServer:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
         logger.info("drained and stopped: %s", self.metrics.format_line())
-        self._server = None
+        self._listener = None
 
     # ------------------------------------------------------------------ #
-    # Connection handling
+    # Admission (the session layer does everything else per request)
     # ------------------------------------------------------------------ #
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        conn = _Connection(writer=writer)
-        self.metrics.inc("connections_total")
-        self.metrics.gauge("connections").inc()
-        try:
-            while True:
-                try:
-                    raw = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._write(conn, error_response(
-                        None, ERR_BAD_REQUEST, "request line too long"))
-                    break
-                if not raw:
-                    break
-                line = raw.decode("utf-8", errors="replace").strip()
-                if not line:
-                    continue
-                await self._dispatch(conn, line)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self.metrics.gauge("connections").dec()
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    async def _dispatch(self, conn: _Connection, line: str) -> None:
-        self.metrics.inc("requests_total")
-        try:
-            request = decode_request(line)
-        except ProtocolError as exc:
-            self.metrics.inc("bad_requests_total")
-            self.metrics.inc("errors_total")
-            await self._write(conn, error_response(None, ERR_BAD_REQUEST,
-                                                   str(exc)))
-            return
-        if request.type == TYPE_PING:
-            await self._write(conn, success_response(request.request_id,
-                                                     pong=True))
-            return
-        if request.type == TYPE_STATS:
-            await self._write(conn, success_response(
-                request.request_id, stats=self.stats_payload()))
-            return
-        kind = ("pair_requests_total" if request.type == TYPE_ALIGN_PAIR
-                else "align_requests_total")
-        self.metrics.inc(kind)
-        assert self._batcher is not None
-        # The request span covers the whole lifecycle (enqueue → batch
-        # formation → kernel → respond); it is detached because those
-        # stages hop between tasks, and linked to its batch by span id.
-        req_span = obs.begin("request", "service",
-                             request_id=request.request_id,
-                             type=request.type)
-        if request.idempotency_key is not None:
-            cached = self._idempotency.get(request.idempotency_key)
-            if cached is not None:
-                # A retry of work we already completed: answer from the
-                # dedup cache — never recompute, never double-apply.
-                self.metrics.inc("idempotent_hits_total")
-                obs.instant("idempotent_hit", "service",
-                            request_id=request.request_id)
-                req_span.end(outcome="idempotent_hit")
-                await self._write(conn, success_response(
-                    request.request_id, **cached))
-                return
+    def _admit(self, request: AlignRequest, conn_id: int,
+               span: Any) -> Awaitable[Dict[str, Any]]:
         if not self.breaker.allow():
             # Degraded mode: shed instead of queueing onto a crashing
             # engine pool. `busy` tells the client to back off + retry.
             self.metrics.inc("shed_total")
-            self.metrics.inc("errors_total")
             obs.instant("request_shed", "service")
-            req_span.end(outcome=ERR_BUSY)
-            await self._write(conn, error_response(
-                request.request_id, ERR_BUSY,
-                "degraded mode: worker crash rate tripped the circuit "
-                "breaker; back off and retry"))
-            return
-        try:
-            future = self._batcher.submit(request,
-                                          span_id=req_span.span_id)
-        except ServiceOverloadedError as exc:
-            self.metrics.inc("errors_total")
-            req_span.end(outcome=ERR_OVERLOADED)
-            await self._write(conn, error_response(
-                request.request_id, ERR_OVERLOADED, str(exc)))
-            return
-        except ServiceClosedError as exc:
-            self.metrics.inc("errors_total")
-            req_span.end(outcome=ERR_SHUTTING_DOWN)
-            await self._write(conn, error_response(
-                request.request_id, ERR_SHUTTING_DOWN, str(exc)))
-            return
-        self.metrics.gauge("in_flight").inc()
-        task = asyncio.ensure_future(
-            self._respond(conn, request, future,
-                          time.monotonic(), req_span))
-        self._response_tasks.add(task)
-        task.add_done_callback(self._response_tasks.discard)
+            raise ServiceError(
+                ERR_BUSY, "degraded mode: worker crash rate tripped the "
+                "circuit breaker; back off and retry")
+        assert self._batcher is not None
+        # Raises ServiceOverloadedError / ServiceClosedError, and the
+        # future may resolve to EngineError: all typed ServiceErrors.
+        future = self._batcher.submit(request, span_id=span.span_id)
+        return asyncio.wait_for(future, self.config.request_timeout_s or None)
 
-    async def _respond(self, conn: _Connection, request: Any,
-                       future: "asyncio.Future[Dict[str, Any]]",
-                       submitted_at: float,
-                       req_span: Any = obs.NULL_SPAN) -> None:
-        request_id = request.request_id
-        timeout = self.config.request_timeout_s or None
-        outcome = "ok"
-        try:
-            payload = await asyncio.wait_for(future, timeout)
-            line = success_response(request_id, **payload)
-            if request.idempotency_key is not None:
-                # Record before the write: a response lost to a dropped
-                # connection must still dedup the client's retry.
-                self._idempotency.put(request.idempotency_key, payload)
-            self.metrics.inc("responses_total")
-        except asyncio.TimeoutError:
-            self.metrics.inc("timeouts_total")
-            self.metrics.inc("errors_total")
-            outcome = ERR_TIMEOUT
-            line = error_response(
-                request_id, ERR_TIMEOUT,
-                f"deadline of {self.config.request_timeout_s}s exceeded")
-        except (EngineError, ServiceClosedError) as exc:
-            self.metrics.inc("errors_total")
-            code = (ERR_SHUTTING_DOWN if isinstance(exc, ServiceClosedError)
-                    else ERR_INTERNAL)
-            outcome = code
-            line = error_response(request_id, code, str(exc))
-        finally:
-            self.metrics.gauge("in_flight").dec()
-            self.metrics.observe("latency_s",
-                                 time.monotonic() - submitted_at)
-        respond_span = self._tracer_begin("respond", parent=req_span)
-        await self._write(conn, line)
-        respond_span.end()
-        req_span.end(outcome=outcome)
-
-    @staticmethod
-    def _tracer_begin(name: str, parent: Any) -> Any:
-        """A detached child span of ``parent`` (no-op when disabled)."""
-        tracer = obs.get_tracer()
-        if not tracer.enabled:
-            return obs.NULL_SPAN
-        return tracer.begin(name, "service",
-                            parent_id=parent.span_id or None)
-
-    async def _write(self, conn: _Connection, line: str) -> None:
-        if conn.writer.is_closing():
-            # The transport is already gone (client hung up, or an
-            # injected drop tore it down); writing would only make the
-            # event loop log spurious socket.send() errors.
-            return
-        data = line.encode("utf-8") + b"\n"
-        if self._injector is not None:
-            event = self._injector.check(SITE_CONN_WRITE)
-            if event is not None and event.kind == CONN_DROP:
-                await self._drop_connection(conn, data, event.param)
-                return
-        try:
-            # Response lines must reach the socket whole and unsheared;
-            # per-connection serialisation across drain() is the point.
-            async with conn.lock:  # repro-lint: disable=lock-across-await
-                conn.writer.write(data)
-                await conn.writer.drain()
-        except (ConnectionResetError, BrokenPipeError, RuntimeError):
-            # Client went away (or the transport was already torn down
-            # by an injected drop); batch results are simply discarded.
-            pass
-
-    async def _drop_connection(self, conn: _Connection, data: bytes,
-                               written_fraction: float) -> None:
-        """Injected ``conn_drop``: emit a prefix of the response (a torn
-        write; 0 = nothing) and kill the connection, so the client sees
-        exactly what a mid-write network failure looks like."""
+    async def _drop_connection(self, conn: Connection,
+                               data: bytes) -> bool:
+        """The write hook under fault injection: on an injected
+        ``conn_drop``, emit a prefix of the response (a torn write;
+        0 = nothing) and kill the connection, so the client sees exactly
+        what a mid-write network failure looks like."""
+        assert self._injector is not None
+        event = self._injector.check(SITE_CONN_WRITE)
+        if event is None or event.kind != CONN_DROP:
+            return False
         self.metrics.inc("injected_conn_faults_total")
         obs.instant("fault_injected", "faults", kind=CONN_DROP,
-                    partial=written_fraction)
+                    partial=event.param)
         try:
             async with conn.lock:  # repro-lint: disable=lock-across-await
-                keep = int(len(data) * written_fraction)
+                keep = int(len(data) * event.param)
                 if keep > 0:
                     conn.writer.write(data[:keep])
                     await conn.writer.drain()
                 conn.writer.close()
         except (ConnectionResetError, BrokenPipeError, RuntimeError):
             pass
+        return True
 
     # ------------------------------------------------------------------ #
     # Workers

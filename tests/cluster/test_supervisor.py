@@ -48,7 +48,7 @@ def test_spawn_serve_state_and_drain(reference_path, tmp_path,
 
         async def scenario():
             gateway = ClusterGateway(topology, config=GatewayConfig(
-                port=0, health_interval_s=0.0, hedge_delay_ms=0.0))
+                port=0, health_interval_s=0.0))
             await gateway.start()
             from repro.service.client import AsyncServiceClient
             client = await AsyncServiceClient.connect(
@@ -141,8 +141,12 @@ def test_monitor_restarts_sigkilled_backend(reference_path, tmp_path):
         old_pid = supervisor.backend("s0r0").pid
         supervisor.start_monitor(interval_s=0.02, on_event=events.append)
         supervisor.kill("s0r0")
+        # The monitor bumps ``restarts`` before it emits ``restarted``,
+        # so wait for the event itself, not just the counter.
         wait_until(lambda: supervisor.backend("s0r0").restarts >= 1
-                   and supervisor.backend("s0r0").alive,
+                   and supervisor.backend("s0r0").alive
+                   and any(e.kind == "restarted"
+                           and e.backend_id == "s0r0" for e in events),
                    timeout_s=30.0,
                    message=lambda: f"never restarted; events={events}")
         backend = supervisor.backend("s0r0")
