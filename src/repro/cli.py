@@ -479,6 +479,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+#: Bound on ``obs export --connect``: dial, and the stats round trip.
+_EXPORT_TIMEOUT_S = 30.0
+
+
 def _cmd_obs_export(args: argparse.Namespace) -> int:
     """Metrics snapshot → Prometheus text exposition."""
     import json
@@ -486,13 +490,20 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
     from repro.obs import prometheus_text
 
     if args.connect:
-        from repro.service.client import ServiceClient, parse_endpoint
-        host, port, unix_path = parse_endpoint(args.connect)
-        client = ServiceClient(host=host, port=port, unix_path=unix_path)
-        try:
-            stats = client.stats()
-        finally:
-            client.close()
+        import asyncio
+
+        from repro.service.client import AsyncServiceClient
+
+        async def fetch() -> dict:
+            client = AsyncServiceClient(args.connect,
+                                        timeout_s=_EXPORT_TIMEOUT_S)
+            try:
+                return await asyncio.wait_for(client.stats(),
+                                              _EXPORT_TIMEOUT_S)
+            finally:
+                await client.close()
+
+        stats = asyncio.run(fetch())
     else:
         with open(args.stats_json, "r", encoding="utf-8") as handle:
             stats = json.load(handle)
@@ -543,6 +554,10 @@ def _cmd_report_card(args: argparse.Namespace) -> int:
     return 0 if all(c.passed for c in criteria) else 1
 
 
+def _add_trace_out(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument("--trace-out", metavar="FILE", help=help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -571,8 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Occ checkpoint spacing (paper: 128)")
     p.add_argument("--sa-sample", type=int, default=1,
                    help="keep every Nth suffix-array entry (1 = full SA)")
-    p.add_argument("--trace-out", metavar="FILE",
-                   help="write a Chrome trace of the build")
+    _add_trace_out(p, "write a Chrome trace of the build")
     p.set_defaults(func=_cmd_index_build)
     p = index_sub.add_parser(
         "inspect", help="print a store's header and array table as JSON")
@@ -598,8 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reads per shard for parallel alignment")
     p.add_argument("--batch-extension", action="store_true",
                    help="vectorize same-shaped extension jobs")
-    p.add_argument("--trace-out", metavar="FILE",
-                   help="write a Chrome trace of the pipeline stages")
+    _add_trace_out(p, "write a Chrome trace of the pipeline stages")
     p.set_defaults(func=_cmd_align)
 
     p = sub.add_parser("accelerate",
@@ -613,8 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simulate configurations in N worker processes")
     p.add_argument("--cache-dir",
                    help="artifact cache for synthetic workloads")
-    p.add_argument("--trace-out", metavar="FILE",
-                   help="write a Chrome trace incl. SU/EU busy intervals")
+    _add_trace_out(p, "write a Chrome trace incl. SU/EU busy intervals")
     p.set_defaults(func=_cmd_accelerate)
 
     p = sub.add_parser("experiments", help="regenerate paper exhibits")
@@ -664,9 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arm seeded fault injection with this named plan")
     p.add_argument("--fault-seed", type=int, default=7,
                    help="seed for --fault-plan schedules")
-    p.add_argument("--trace-out", metavar="FILE",
-                   help="write a Chrome trace of request/batch/kernel "
-                        "spans at shutdown")
+    _add_trace_out(p, "write a Chrome trace of request/batch/kernel "
+                      "spans at shutdown")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("cluster",
@@ -722,9 +733,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workdir",
                    help="scratch dir for shard FASTAs/indexes/logs/"
                         "cluster.json (default: a fresh temp dir)")
-    p.add_argument("--trace-out", metavar="FILE",
-                   help="write a Chrome trace of route/gather "
-                        "spans at shutdown")
+    _add_trace_out(p, "write a Chrome trace of route/gather "
+                      "spans at shutdown")
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("loadgen",
@@ -758,8 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit nonzero if p99 latency exceeds this")
     p.add_argument("--allow-errors", action="store_true",
                    help="do not fail the run on rejected/errored requests")
-    p.add_argument("--trace-out", metavar="FILE",
-                   help="write a Chrome trace of client request spans")
+    _add_trace_out(p, "write a Chrome trace of client request spans")
     p.set_defaults(func=_cmd_loadgen)
 
     p = sub.add_parser("chaos",
@@ -780,8 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cluster-backends", type=int, default=3,
                    help="replicated gateway backends for the backend-"
                         "kill phase (0 skips the cluster phase)")
-    p.add_argument("--trace-out", metavar="FILE",
-                   help="write a Chrome trace of the whole chaos run")
+    _add_trace_out(p, "write a Chrome trace of the whole chaos run")
     p.set_defaults(func=_cmd_chaos)
 
     p = sub.add_parser("obs", help="tracing / metrics export utilities")

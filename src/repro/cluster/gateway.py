@@ -3,7 +3,7 @@
 Wiring (one process, one event loop)::
 
     clients ──decode──▶ route ──────────────▶ BackendHandle(s)
-       ▲                 │  replicated: one     (lazy AsyncServiceClient
+       ▲                 │  replicated: one     (AsyncServiceClient
        │                 │  replica via the      + CircuitBreaker +
        │                 │  hash ring, with      health state)
        │                 │  failover
@@ -13,12 +13,12 @@ Wiring (one process, one event loop)::
 
 The gateway speaks the *same* NDJSON protocol as a single
 :class:`~repro.service.server.AlignmentServer` — both run the session
-layer of :mod:`repro.service.session` — so every existing
-client — ``ServiceClient``, ``ResilientAsyncClient``, the loadgen —
-points at a cluster unchanged.  Requests route by consistent-hashing
-the read id (pair id for pairs) onto a replica; sharded clusters
-scatter each align request to every shard group and merge under
-:func:`repro.cluster.merge.merge_align_payloads`.
+layer of :mod:`repro.service.session` — so the service client
+(:class:`~repro.service.client.AsyncServiceClient`, with or without a
+retry policy) and the loadgen point at a cluster unchanged.  Requests
+route by consistent-hashing the read id (pair id for pairs) onto a
+replica; sharded clusters scatter each align request to every shard
+group and merge under :func:`repro.cluster.merge.merge_align_payloads`.
 
 Resilience is composed from :mod:`repro.faults`, one layer per failure
 mode:
@@ -88,8 +88,8 @@ from repro.service.session import NdjsonFrontEnd
 
 logger = logging.getLogger("repro.cluster")
 
-#: Response fields that are transport framing, not payload.
-_FRAMING_KEYS = ("id", "ok")
+#: Response fields that are transport framing or client-side, not payload.
+_FRAMING_KEYS = ("id", "ok", "meta")
 
 #: Slack past a request's budget before the blunt gateway timeout fires,
 #: so deadline sheds surface as typed ``queue_timeout`` responses.
@@ -144,14 +144,13 @@ class GatewayConfig:
 
 
 class BackendHandle:
-    """One backend as the gateway sees it: connection + breaker + health.
+    """One backend as the gateway sees it: client + breaker + health.
 
-    The handle holds a lazily-opened :class:`AsyncServiceClient` (one
-    multiplexed connection per backend) and recreates it after
-    connection errors.  Unlike :class:`~repro.service.client.
-    ResilientAsyncClient` it does **no** internal retry — the gateway
-    owns failover, and a handle that retried on its own
-    would hide exactly the failures the router must see.
+    The handle holds one :class:`AsyncServiceClient` (one multiplexed
+    connection per backend, redialled by the client after it dies)
+    with **no** retry policy — the gateway owns failover, and a client
+    that retried on its own would hide exactly the failures the router
+    must see.
     """
 
     def __init__(self, backend_id: str, endpoint: str, shard: int,
@@ -165,9 +164,13 @@ class BackendHandle:
         self.consecutive_failures = 0
         self.consecutive_successes = 0
         self._config = config
-        self._connect_timeout_s = config.connect_timeout_s
-        self._client: Optional[AsyncServiceClient] = None
-        self._lock = asyncio.Lock()
+        self.client = self._fresh_client(endpoint, config)
+
+    @staticmethod
+    def _fresh_client(endpoint: str,
+                      config: GatewayConfig) -> AsyncServiceClient:
+        return AsyncServiceClient(endpoint,
+                                  timeout_s=config.connect_timeout_s)
 
     @staticmethod
     def _fresh_breaker(config: GatewayConfig) -> CircuitBreaker:
@@ -177,41 +180,21 @@ class BackendHandle:
             cooldown_s=config.breaker_cooldown_s,
             half_open_probes=config.breaker_probes)
 
-    def adopt_endpoint(self, endpoint: str) -> None:
+    def adopt_endpoint(self, endpoint: str) -> AsyncServiceClient:
         """Point the handle at a restarted backend's fresh address.
 
-        The breaker and health streaks reset with it: they describe the
-        dead process, and carrying an open breaker into the new one
-        would keep shedding a replica that is perfectly fine.
+        The client, breaker and health streaks reset with it: they
+        describe the dead process, and carrying an open breaker into the
+        new one would keep shedding a replica that is perfectly fine.
+        The caller closes the returned client, the dead process's.
         """
+        stale = self.client
         self.endpoint = endpoint
+        self.client = self._fresh_client(endpoint, self._config)
         self.breaker = self._fresh_breaker(self._config)
         self.consecutive_failures = 0
         self.consecutive_successes = 0
-
-    async def get(self) -> AsyncServiceClient:
-        # Holding the lock across connect() is the contract: concurrent
-        # requests hitting a dead connection must converge on one
-        # replacement, not race to open their own.
-        async with self._lock:  # repro-lint: disable=lock-across-await
-            if self._client is None:
-                self._client = await AsyncServiceClient.connect_endpoint(
-                    self.endpoint, timeout_s=self._connect_timeout_s)
-            return self._client
-
-    async def invalidate(self,
-                         client: Optional[AsyncServiceClient]) -> None:
-        async with self._lock:
-            if client is None or self._client is client:
-                client, self._client = self._client, None
-        if client is not None:
-            try:
-                await client.close()
-            except (ConnectionError, OSError):
-                pass
-
-    async def close(self) -> None:
-        await self.invalidate(None)
+        return stale
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -434,7 +417,7 @@ class ClusterGateway(NdjsonFrontEnd):
             except asyncio.CancelledError:
                 pass
         for handle in self.handles.values():
-            await handle.close()
+            await handle.client.close()
         logger.info("gateway drained and stopped: %s",
                     self.metrics.format_line())
         self._listener = None
@@ -569,9 +552,8 @@ class ClusterGateway(NdjsonFrontEnd):
             self.metrics.inc(f"backend_{bid}_sheds_total")
             raise _BackendUnavailable(f"{bid}: circuit breaker open")
         self.metrics.inc(f"backend_{bid}_requests_total")
-        client: Optional[AsyncServiceClient] = None
+        client = handle.client
         try:
-            client = await handle.get()
             if request.type == TYPE_ALIGN:
                 obj = await client.align(request.reads[0],
                                          idempotency_key=idem_key)
@@ -593,7 +575,6 @@ class ClusterGateway(NdjsonFrontEnd):
                 asyncio.IncompleteReadError) as exc:
             handle.breaker.record_failure()
             self.metrics.inc(f"backend_{bid}_errors_total")
-            await handle.invalidate(client)
             raise _BackendUnavailable(f"{bid}: {exc}") from exc
         handle.breaker.record_success()
         self._sync_breaker_gauge(handle)
@@ -612,17 +593,15 @@ class ClusterGateway(NdjsonFrontEnd):
                   if not handle.retired))
 
     async def _health_check(self, handle: BackendHandle) -> None:
-        client: Optional[AsyncServiceClient] = None
+        client = handle.client
         try:
-            client = await asyncio.wait_for(
-                handle.get(), self.config.health_timeout_s)
             await asyncio.wait_for(client.ping(),
                                    self.config.health_timeout_s)
         except (ConnectionError, OSError, asyncio.TimeoutError,
                 asyncio.IncompleteReadError, ServiceError):
             handle.consecutive_successes = 0
             handle.consecutive_failures += 1
-            await handle.invalidate(client)
+            await client.close()
             if (handle.healthy and handle.consecutive_failures
                     >= self.config.health_failures):
                 self._eject(handle)
@@ -685,21 +664,20 @@ class ClusterGateway(NdjsonFrontEnd):
         if handle is None or handle.retired:
             return False
         self.metrics.inc("backend_restarts_total")
-        await handle.invalidate(None)
-        handle.adopt_endpoint(endpoint)
+        await handle.adopt_endpoint(endpoint).close()
         self._sync_breaker_gauge(handle)
         obs.instant("backend_reconcile", "cluster", backend=backend_id,
                     endpoint=endpoint)
+        client = handle.client
         try:
-            client = await asyncio.wait_for(
-                handle.get(), self.config.connect_timeout_s)
-            await asyncio.wait_for(client.ping(),
-                                   self.config.health_timeout_s)
+            await asyncio.wait_for(  # dial + ping
+                client.ping(), self.config.connect_timeout_s
+                + self.config.health_timeout_s)
         except (ConnectionError, OSError, asyncio.TimeoutError,
                 asyncio.IncompleteReadError, ServiceError) as exc:
             logger.warning("reconcile probe of %s at %s failed: %s",
                            backend_id, endpoint, exc)
-            await handle.invalidate(None)
+            await client.close()
             if handle.healthy:
                 self._eject(handle)
             return False
@@ -736,7 +714,7 @@ class ClusterGateway(NdjsonFrontEnd):
         logger.error("retired backend %s permanently: %s", backend_id,
                      reason or "crash loop")
         try:
-            task = asyncio.ensure_future(handle.close())
+            task = asyncio.ensure_future(handle.client.close())
             self._track(task)
         except RuntimeError:
             pass  # no running loop (sync test context): nothing to close
@@ -780,9 +758,8 @@ class ClusterGateway(NdjsonFrontEnd):
     async def _backend_stats(self, handle: BackendHandle
                              ) -> Optional[Dict[str, Any]]:
         try:
-            client = await handle.get()
             return await asyncio.wait_for(
-                client.stats(), self.config.health_timeout_s)
+                handle.client.stats(), self.config.health_timeout_s)
         except (ConnectionError, OSError, asyncio.TimeoutError,
                 asyncio.IncompleteReadError, ServiceError):
             return None

@@ -46,8 +46,8 @@ def banded_global(read, reference, band_width: int = 16,
     """
     if band_width <= 0:
         raise ValueError(f"band_width must be positive, got {band_width}")
-    read_codes = _codes(read)
-    ref_codes = _codes(reference)
+    read_codes = seq.as_codes(read)
+    ref_codes = seq.as_codes(reference)
     m, n = read_codes.size, ref_codes.size
     if abs(m - n) > band_width:
         raise ValueError(
@@ -176,9 +176,3 @@ def _traceback(h, e, f, read_codes, ref_codes, scoring, band_width):
             if from_h or j == 0:
                 state = "H"
     return Cigar.from_ops(reversed(ops)), touched
-
-
-def _codes(value) -> np.ndarray:
-    if isinstance(value, np.ndarray):
-        return np.asarray(value, dtype=np.uint8)
-    return seq.encode(value)

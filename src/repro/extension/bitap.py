@@ -29,16 +29,10 @@ import numpy as np
 from repro.genome import sequence as seq
 
 
-def _codes(value) -> np.ndarray:
-    if isinstance(value, np.ndarray):
-        return np.asarray(value, dtype=np.uint8)
-    return seq.encode(value)
-
-
 def edit_distance(a, b) -> int:
     """Plain Levenshtein distance (vectorised DP rows) — the oracle."""
-    a_codes = _codes(a)
-    b_codes = _codes(b)
+    a_codes = seq.as_codes(a)
+    b_codes = seq.as_codes(b)
     if a_codes.size == 0:
         return int(b_codes.size)
     if b_codes.size == 0:
@@ -73,8 +67,8 @@ def myers_distances(pattern, text) -> List[int]:
     pattern and any substring of ``text`` ending at position ``j``
     (inclusive). ``min(d)`` is the best approximate-match score anywhere.
     """
-    pattern_codes = _codes(pattern)
-    text_codes = _codes(text)
+    pattern_codes = seq.as_codes(pattern)
+    text_codes = seq.as_codes(text)
     m = int(pattern_codes.size)
     if m == 0:
         return [0] * int(text_codes.size)
@@ -106,7 +100,7 @@ def myers_distances(pattern, text) -> List[int]:
 
 def best_semi_global_distance(pattern, text) -> int:
     """Best edit distance of the pattern anywhere in the text."""
-    pattern_codes = _codes(pattern)
+    pattern_codes = seq.as_codes(pattern)
     distances = myers_distances(pattern, text)
     if not distances:
         return int(pattern_codes.size)
@@ -122,8 +116,8 @@ def bitap_search(pattern, text, max_errors: int = 0) -> List[Tuple[int, int]]:
     """
     if max_errors < 0:
         raise ValueError(f"max_errors must be >= 0, got {max_errors}")
-    pattern_codes = _codes(pattern)
-    text_codes = _codes(text)
+    pattern_codes = seq.as_codes(pattern)
+    text_codes = seq.as_codes(text)
     m = int(pattern_codes.size)
     if m == 0:
         raise ValueError("pattern must be non-empty")
@@ -158,7 +152,7 @@ def bitap_search(pattern, text, max_errors: int = 0) -> List[Tuple[int, int]]:
 
 def bitap_exact_positions(pattern, text) -> List[int]:
     """Exact Bitap (shift-and): start positions of exact occurrences."""
-    pattern_codes = _codes(pattern)
+    pattern_codes = seq.as_codes(pattern)
     hits = bitap_search(pattern, text, max_errors=0)
     m = int(pattern_codes.size)
     return [end - m + 1 for end, _ in hits]

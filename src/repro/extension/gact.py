@@ -39,12 +39,6 @@ class GACTResult:
     max_tile_cells: int
 
 
-def _codes(value) -> np.ndarray:
-    if isinstance(value, np.ndarray):
-        return np.asarray(value, dtype=np.uint8)
-    return seq.encode(value)
-
-
 def _commit_ops(cigar: Cigar, query_budget: int, ref_budget: int,
                 last_tile: bool) -> Tuple[List[Tuple[int, str]], int, int]:
     """Take ops from the front of a tile's path until either sequence's
@@ -94,8 +88,8 @@ def gact_align(query, reference, tile_size: int = 128, overlap: int = 32,
     if not 0 <= overlap < tile_size:
         raise ValueError(
             f"overlap must be in [0, tile_size), got {overlap}")
-    query_codes = _codes(query)
-    ref_codes = _codes(reference)
+    query_codes = seq.as_codes(query)
+    ref_codes = seq.as_codes(reference)
     m, n = query_codes.size, ref_codes.size
     if m == 0 or n == 0:
         from repro.extension.needleman_wunsch import needleman_wunsch

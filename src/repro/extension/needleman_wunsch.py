@@ -98,8 +98,8 @@ def traceback_global(matrices: DPMatrices, read_codes: np.ndarray,
 def needleman_wunsch(read, reference,
                      scoring: ScoringScheme = BWA_MEM_SCORING) -> Alignment:
     """Optimal global alignment of the full read against the full reference."""
-    read_codes = _codes(read)
-    ref_codes = _codes(reference)
+    read_codes = seq.as_codes(read)
+    ref_codes = seq.as_codes(reference)
     if read_codes.size == 0 and ref_codes.size == 0:
         return Alignment(score=0, cigar=Cigar(()), read_start=0, read_end=0,
                          ref_start=0, ref_end=0)
@@ -119,9 +119,3 @@ def needleman_wunsch(read, reference,
                      read_start=0, read_end=read_codes.size,
                      ref_start=0, ref_end=ref_codes.size,
                      cells=matrices.cells)
-
-
-def _codes(value) -> np.ndarray:
-    if isinstance(value, np.ndarray):
-        return np.asarray(value, dtype=np.uint8)
-    return seq.encode(value)

@@ -216,8 +216,8 @@ def smith_waterman(read, reference, scoring: ScoringScheme = BWA_MEM_SCORING,
         scoring: affine-gap scheme (BWA-MEM defaults).
         use_scalar: run the scalar oracle fill (for testing).
     """
-    read_codes = _codes(read)
-    ref_codes = _codes(reference)
+    read_codes = seq.as_codes(read)
+    ref_codes = seq.as_codes(reference)
     if read_codes.size == 0 or ref_codes.size == 0:
         return Alignment(score=0, cigar=Cigar(()), read_start=0, read_end=0,
                          ref_start=0, ref_end=0, cells=0)
@@ -251,15 +251,9 @@ def alignment_from_matrices(matrices: DPMatrices, read_codes: np.ndarray,
 def score_only(read, reference,
                scoring: ScoringScheme = BWA_MEM_SCORING) -> int:
     """Best local score without traceback (cheaper inner loop)."""
-    read_codes = _codes(read)
-    ref_codes = _codes(reference)
+    read_codes = seq.as_codes(read)
+    ref_codes = seq.as_codes(reference)
     if read_codes.size == 0 or ref_codes.size == 0:
         return 0
     matrices = fill_matrices(read_codes, ref_codes, scoring)
     return int(matrices.h.max())
-
-
-def _codes(value) -> np.ndarray:
-    if isinstance(value, np.ndarray):
-        return np.asarray(value, dtype=np.uint8)
-    return seq.encode(value)

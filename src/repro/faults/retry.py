@@ -2,7 +2,7 @@
 deadline budget.
 
 One :class:`RetryPolicy` serves every retry site in the stack — the
-loadgen's connect loop, the resilient clients' per-request retries, and
+loadgen's readiness probe, the service client's per-request retries, and
 anything a test wants to drive with a fake clock.  Jitter is
 *deterministic*: attempt ``n`` for key ``k`` under seed ``s`` always
 sleeps the same amount, so two runs of the same scenario replay the same

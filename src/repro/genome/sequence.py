@@ -66,6 +66,13 @@ def encode(sequence: str) -> np.ndarray:
     return codes
 
 
+def as_codes(value: Union[str, np.ndarray]) -> np.ndarray:
+    """A ``uint8`` code array for a DNA string or an existing code array."""
+    if isinstance(value, np.ndarray):
+        return np.asarray(value, dtype=np.uint8)
+    return encode(value)
+
+
 def decode(codes: Union[np.ndarray, Sequence[int]]) -> str:
     """Decode a code array back into a DNA string."""
     arr = np.asarray(codes, dtype=np.uint8)

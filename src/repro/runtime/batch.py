@@ -60,8 +60,8 @@ def smith_waterman_batch(pairs: Sequence[Tuple[str, str]],
     groups: Dict[Tuple[int, int], List[int]] = {}
     encoded: List[Tuple[np.ndarray, np.ndarray]] = []
     for idx, (query, reference) in enumerate(pairs):
-        query_codes = _codes(query)
-        ref_codes = _codes(reference)
+        query_codes = seq.as_codes(query)
+        ref_codes = seq.as_codes(reference)
         encoded.append((query_codes, ref_codes))
         shape = (query_codes.size, ref_codes.size)
         if 0 in shape:
@@ -99,9 +99,3 @@ def extend_jobs(jobs: Sequence[ExtensionJob],
         scoring=scoring, max_batch=max_batch)
     return {(job.read_idx, job.hit_idx): alignment
             for job, alignment in zip(jobs, alignments)}
-
-
-def _codes(value) -> np.ndarray:
-    if isinstance(value, np.ndarray):
-        return np.asarray(value, dtype=np.uint8)
-    return seq.encode(value)

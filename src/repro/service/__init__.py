@@ -25,7 +25,9 @@ request/response world:
   histograms (p50/p95/p99) behind the ``stats`` request and the periodic
   log line.
 - :mod:`repro.service.client` / :mod:`repro.service.loadgen` — the
-  multiplexing client and the closed/open-loop benchmark driver
+  multiplexing, self-reconnecting client (retrying under an optional
+  :class:`~repro.faults.retry.RetryPolicy`) and the closed/open-loop
+  benchmark driver
   (``repro serve`` / ``repro loadgen`` in the CLI).
 """
 
@@ -35,7 +37,7 @@ from repro.service.batcher import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
-from repro.service.client import AsyncServiceClient, ServiceClient, ServiceError
+from repro.service.client import AsyncServiceClient, ServiceError
 from repro.service.engine import AlignmentEngine, EngineError
 from repro.service.loadgen import (
     LoadgenConfig,
@@ -79,7 +81,6 @@ __all__ = [
     "ProtocolError",
     "RequestSpec",
     "ServerConfig",
-    "ServiceClient",
     "ServiceClosedError",
     "ServiceError",
     "ServiceOverloadedError",

@@ -18,12 +18,11 @@ report's ``dropped`` (requests that never got any response) must be zero
 on a healthy run, and rejections/timeouts are tallied per error code
 rather than hidden.
 
-With :attr:`LoadgenConfig.retry` set, traffic instead flows through a
-:class:`~repro.service.client.ResilientAsyncClient`: dropped
-connections reconnect, ``busy``/``overloaded`` responses back off and
-retry, and idempotency keys keep the retries exactly-once — this is the
-client the chaos harness (``repro chaos``) drives, asserting that even
-under injected faults ``dropped`` stays zero and the SAM output is
+With :attr:`LoadgenConfig.retry` set, the client runs under that policy:
+dropped connections reconnect, ``busy``/``overloaded`` responses back
+off and retry, and idempotency keys keep the retries exactly-once — this
+is how the chaos harness (``repro chaos``) drives it, asserting that
+even under injected faults ``dropped`` stays zero and the SAM output is
 byte-identical to a fault-free run.
 """
 
@@ -40,11 +39,7 @@ from repro.faults.retry import RetryPolicy
 from repro.genome.pairs import PairedReadSimulator
 from repro.genome.reads import Read, ReadSimulator
 from repro.genome.reference import ReferenceGenome
-from repro.service.client import (
-    AsyncServiceClient,
-    ResilientAsyncClient,
-    ServiceError,
-)
+from repro.service.client import AsyncServiceClient, ServiceError
 from repro.service.metrics import percentile
 from repro.service.protocol import (
     ERR_BUSY,
@@ -260,28 +255,11 @@ def _ready_policy(config: LoadgenConfig) -> RetryPolicy:
         max_delay_s=_CONNECT_PROBE_S, deadline_s=wait, jitter=0.0)
 
 
-async def _connect_with_retry(endpoint: str,
-                              config: LoadgenConfig) -> AsyncServiceClient:
-    async def attempt() -> AsyncServiceClient:
-        client = await AsyncServiceClient.connect_endpoint(
-            endpoint, timeout_s=config.connect_timeout_s)
-        try:
-            await client.ping()
-        except BaseException:
-            await client.close()
-            raise
-        return client
-
-    return await _ready_policy(config).execute_async(
-        attempt, retry_on=_CONNECT_ERRORS, key="loadgen-connect")
-
-
-async def _make_client(endpoint: str, config: LoadgenConfig) -> Any:
-    """The traffic client: resilient when ``config.retry`` is set."""
-    if config.retry is None:
-        return await _connect_with_retry(endpoint, config)
-    client = ResilientAsyncClient(endpoint, retry=config.retry,
-                                  connect_timeout_s=config.connect_timeout_s)
+async def _ready_client(endpoint: str,
+                        config: LoadgenConfig) -> AsyncServiceClient:
+    """The traffic client, once the server answers a ping."""
+    client = AsyncServiceClient(endpoint, retry=config.retry,
+                                timeout_s=config.connect_timeout_s)
     try:
         await _ready_policy(config).execute_async(
             client.ping, retry_on=_CONNECT_ERRORS, key="loadgen-ready")
@@ -297,7 +275,7 @@ async def run_loadgen(endpoint: str, specs: Sequence[RequestSpec],
                       collect_responses: bool = False) -> LoadgenReport:
     """Fire ``specs`` at ``endpoint`` per ``config``; returns the report."""
     config = config or LoadgenConfig()
-    client = await _make_client(endpoint, config)
+    client = await _ready_client(endpoint, config)
     report = LoadgenReport(requests=len(specs), completed=0)
     if collect_responses:
         report.responses = [None] * len(specs)
@@ -355,7 +333,7 @@ async def run_loadgen(endpoint: str, specs: Sequence[RequestSpec],
                 await asyncio.sleep(interval)
             await asyncio.gather(*tasks)
         report.duration_s = time.monotonic() - started
-        report.retried = getattr(client, "retries", 0)
+        report.retried = client.retries
         if collect_server_stats:
             try:
                 report.server_stats = await client.stats()

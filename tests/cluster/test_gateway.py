@@ -3,6 +3,7 @@ health-driven membership, scatter/gather, idempotency."""
 
 import asyncio
 import contextlib
+import json
 import time
 
 from repro.cluster.gateway import ClusterGateway, GatewayConfig
@@ -10,6 +11,7 @@ from repro.cluster.ring import HashRing
 from repro.cluster.topology import ClusterTopology, shard_reference
 from repro.service.client import AsyncServiceClient
 from repro.service.engine import AlignmentEngine
+from repro.service.protocol import encode_align
 from repro.service.server import AlignmentServer, ServerConfig
 from tests.cluster.helpers import async_wait_until
 from tests.service.helpers import run
@@ -100,6 +102,17 @@ def test_replicated_routing_and_protocol(cluster_reference, cluster_reads):
             assert stats["topology"]["replicas"] == 2
             assert set(stats["backends"]) == {"s0r0", "s0r1"}
             assert "cluster_metrics" in stats
+            # The backend clients' per-request meta stays inside the
+            # gateway: its wire responses are payload plus framing.
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", gateway.port)
+            try:
+                writer.write(encode_align("raw", cluster_reads[0])
+                             .encode() + b"\n")
+                raw = json.loads(await reader.readline())
+            finally:
+                writer.close()
+            assert raw["ok"] and "meta" not in raw
     run(scenario())
 
 

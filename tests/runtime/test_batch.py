@@ -7,11 +7,11 @@ import pytest
 from repro.align.pipeline import SoftwareAligner
 from repro.extension.scoring import BWA_MEM_SCORING
 from repro.extension.smith_waterman import (
-    _codes,
     fill_matrices,
     fill_matrices_batch,
     smith_waterman,
 )
+from repro.genome.sequence import as_codes
 from repro.genome.reads import ReadSimulator
 from repro.genome.reference import SyntheticReference
 from repro.runtime.batch import (
@@ -68,8 +68,8 @@ class TestBatchKernel:
     def test_fill_matrices_batch_slices_match(self):
         rng = random.Random(7)
         import numpy as np
-        reads = np.stack([_codes(random_seq(rng, 16)) for _ in range(5)])
-        refs = np.stack([_codes(random_seq(rng, 20)) for _ in range(5)])
+        reads = np.stack([as_codes(random_seq(rng, 16)) for _ in range(5)])
+        refs = np.stack([as_codes(random_seq(rng, 20)) for _ in range(5)])
         batch = fill_matrices_batch(reads, refs, BWA_MEM_SCORING)
         assert len(batch) == 5
         for k in range(5):

@@ -2,9 +2,9 @@
 
 Pins the recovery half of the fault-injection layer at the service
 boundary: graceful drain with a mid-batch crash loses nothing and
-double-sends nothing, a resilient client absorbs injected connection
-drops without recomputation (idempotency dedup), and the loadgen's
-connect loop honours its ``wait_ready_s`` deadline budget.
+double-sends nothing, a client under a retry policy absorbs injected
+connection drops without recomputation (idempotency dedup), and the
+loadgen's readiness probe honours its ``wait_ready_s`` deadline budget.
 """
 
 import asyncio
@@ -23,7 +23,7 @@ from repro.faults.plan import (
     FaultSpec,
 )
 from repro.faults.retry import RetryPolicy
-from repro.service.client import ResilientAsyncClient
+from repro.service.client import AsyncServiceClient
 from repro.service.loadgen import LoadgenConfig, RequestSpec, run_loadgen
 from repro.service.protocol import encode_align
 from repro.service.server import AlignmentServer, ServerConfig
@@ -92,7 +92,7 @@ def test_resilient_client_survives_injected_drop(service_reference,
         injector = drop_plan(2).injector()
         async with serving(service_reference,
                            fault_injector=injector) as (server, _):
-            client = ResilientAsyncClient(
+            client = AsyncServiceClient(
                 f"127.0.0.1:{server.port}",
                 retry=RetryPolicy(max_attempts=5, base_delay_s=0.01,
                                   max_delay_s=0.05, seed=3))
@@ -119,7 +119,7 @@ def test_resilient_client_partial_write_drop(service_reference,
         injector = drop_plan(1, param=0.5).injector()
         async with serving(service_reference,
                            fault_injector=injector) as (server, _):
-            client = ResilientAsyncClient(
+            client = AsyncServiceClient(
                 f"127.0.0.1:{server.port}",
                 retry=RetryPolicy(max_attempts=5, base_delay_s=0.01,
                                   max_delay_s=0.05, seed=3))
@@ -172,7 +172,7 @@ def _closed_port() -> int:
 @pytest.mark.parametrize("with_retry", [False, True])
 def test_loadgen_connect_deadline(with_retry):
     """wait_ready_s is a hard budget: an unreachable endpoint fails
-    within it instead of hanging (both client flavours)."""
+    within it instead of hanging (with and without a retry policy)."""
     port = _closed_port()
     retry = (RetryPolicy(max_attempts=3, base_delay_s=0.01, seed=1)
              if with_retry else None)
@@ -192,34 +192,28 @@ def test_loadgen_connect_deadline(with_retry):
 
 def test_blocking_client_reconnects_under_policy(service_reference,
                                                  service_reads):
-    """ServiceClient with a RetryPolicy rides out an injected drop."""
+    """A blocking caller (its own event loop, as ``obs export --connect``
+    runs) rides out an injected drop with the client under a policy."""
     async def scenario():
         injector = drop_plan(2).injector()
-        server = AlignmentServer(
-            service_reference,
-            config=ServerConfig(port=0, stats_interval_s=0),
-            fault_injector=injector)
-        await server.start()
-        try:
-            from repro.service.client import ServiceClient
-
-            def drive():
-                client = ServiceClient(
-                    "127.0.0.1", server.port, timeout_s=5.0,
-                    retry_policy=RetryPolicy(max_attempts=5,
-                                             base_delay_s=0.01,
-                                             max_delay_s=0.05, seed=2))
-                with client:
-                    return [client.align(read)
+        async with serving(service_reference,
+                           fault_injector=injector) as (server, _):
+            async def session():
+                client = AsyncServiceClient(
+                    f"127.0.0.1:{server.port}", timeout_s=5.0,
+                    retry=RetryPolicy(max_attempts=5, base_delay_s=0.01,
+                                      max_delay_s=0.05, seed=2))
+                try:
+                    return [await client.align(read)
                             for read in service_reads[:3]]
+                finally:
+                    await client.close()
 
             responses = await asyncio.get_event_loop().run_in_executor(
-                None, drive)
+                None, asyncio.run, session())
             assert all(r["ok"] and r["sam"] for r in responses)
             snap = server.metrics.snapshot()
             assert snap["counters"]["idempotent_hits_total"] >= 1
-        finally:
-            await server.shutdown(drain=True)
 
     run(scenario())
 
@@ -233,7 +227,7 @@ def test_response_meta_reports_retry_attempts(service_reference,
         injector = drop_plan(1).injector()
         async with serving(service_reference,
                            fault_injector=injector) as (server, _):
-            client = ResilientAsyncClient(
+            client = AsyncServiceClient(
                 f"127.0.0.1:{server.port}",
                 retry=RetryPolicy(max_attempts=5, base_delay_s=0.01,
                                   max_delay_s=0.05, seed=3))
@@ -248,53 +242,56 @@ def test_response_meta_reports_retry_attempts(service_reference,
                 retried["meta"]["attempts"] - 1
             # Clean request: exactly one attempt, zero retries.
             assert clean["meta"] == {"attempts": 1, "retries": 0}
+            # A client without a policy still reports its one attempt;
+            # stats payloads stay meta-free: they are pass-through
+            # server state, not per-request outcomes.
+            plain = AsyncServiceClient(f"127.0.0.1:{server.port}")
+            try:
+                single = await plain.align(service_reads[2])
+                stats = await plain.stats()
+            finally:
+                await plain.close()
+            assert single["meta"] == {"attempts": 1, "retries": 0}
+            assert "meta" not in stats
 
     run(scenario())
 
 
 def test_blocking_client_meta_attempts(service_reference, service_reads):
-    """Same contract for the blocking ServiceClient, with and without a
-    retry policy."""
+    """Same meta contract for a blocking caller driving the client on its
+    own event loop, with and without a retry policy."""
     async def scenario():
         injector = drop_plan(1).injector()
-        server = AlignmentServer(
-            service_reference,
-            config=ServerConfig(port=0, stats_interval_s=0),
-            fault_injector=injector)
-        await server.start()
-        try:
-            from repro.service.client import ServiceClient
+        async with serving(service_reference,
+                           fault_injector=injector) as (server, _):
+            endpoint = f"127.0.0.1:{server.port}"
 
-            def drive():
-                with ServiceClient(
-                        "127.0.0.1", server.port, timeout_s=5.0,
-                        retry_policy=RetryPolicy(
-                            max_attempts=5, base_delay_s=0.01,
-                            max_delay_s=0.05, seed=2)) as client:
-                    first = client.align(service_reads[0])
-                    second = client.align(service_reads[1])
+            async def session():
+                client = AsyncServiceClient(
+                    endpoint, timeout_s=5.0,
+                    retry=RetryPolicy(max_attempts=5, base_delay_s=0.01,
+                                      max_delay_s=0.05, seed=2))
+                try:
+                    first = await client.align(service_reads[0])
+                    second = await client.align(service_reads[1])
+                finally:
+                    await client.close()
                 # No-retry client still reports its single attempt.
-                with ServiceClient("127.0.0.1", server.port,
-                                   timeout_s=5.0) as plain:
-                    third = plain.align(service_reads[2])
-                return first, second, third
+                plain = AsyncServiceClient(endpoint, timeout_s=5.0)
+                try:
+                    third = await plain.align(service_reads[2])
+                    stats = await plain.stats()
+                finally:
+                    await plain.close()
+                return first, second, third, stats
 
-            first, second, third = await asyncio.get_event_loop() \
-                .run_in_executor(None, drive)
+            first, second, third, stats = await asyncio.get_event_loop() \
+                .run_in_executor(None, asyncio.run, session())
             assert first["meta"]["attempts"] >= 2
             assert second["meta"] == {"attempts": 1, "retries": 0}
             assert third["meta"] == {"attempts": 1, "retries": 0}
-            # stats/ping payloads stay meta-free: they are pass-through
-            # server state, not per-request outcomes.
-
-            def probe():
-                with ServiceClient("127.0.0.1", server.port,
-                                   timeout_s=5.0) as client:
-                    return client.stats()
-            stats = await asyncio.get_event_loop().run_in_executor(
-                None, probe)
+            # stats payloads stay meta-free: they are pass-through server
+            # state, not per-request outcomes.
             assert "meta" not in stats
-        finally:
-            await server.shutdown(drain=True)
 
     run(scenario())

@@ -1,5 +1,7 @@
 """End-to-end CLI tests."""
 
+import contextlib
+
 import pytest
 
 from repro.cli import main
@@ -317,52 +319,66 @@ class TestInputValidation:
         assert "--max-batch must be >= 1" in capsys.readouterr().err
 
 
+@contextlib.contextmanager
+def serving_in_thread(reference_path, sock):
+    """An AlignmentServer on a UNIX socket, on its own loop in a thread,
+    so CLI verbs (which call asyncio.run) can talk to it."""
+    import asyncio
+    import threading
+
+    from repro.genome.io import read_reference
+    from repro.service.server import AlignmentServer, ServerConfig
+
+    started = threading.Event()
+    stop = threading.Event()
+
+    async def body():
+        server = AlignmentServer(
+            read_reference(reference_path),
+            config=ServerConfig(unix_path=sock, stats_interval_s=0))
+        await server.start()
+        started.set()
+        while not stop.is_set():
+            await asyncio.sleep(0.05)
+        await server.shutdown(drain=True)
+
+    thread = threading.Thread(target=asyncio.run, args=(body(),),
+                              daemon=True)
+    thread.start()
+    assert started.wait(timeout=30), "server never came up"
+    try:
+        yield f"unix:{sock}"
+    finally:
+        stop.set()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "server did not stop"
+
+
 class TestServeLoadgenEndToEnd:
     @pytest.mark.integration
     def test_serve_and_loadgen_over_unix_socket(self, dataset, tmp_path,
                                                 capsys):
         """The CLI pair end to end: serve on a UNIX socket in a thread,
         then loadgen against it."""
-        import threading
-
-        sock = str(tmp_path / "svc.sock")
-        server_done = threading.Event()
-
-        def serve_thread():
-            import asyncio
-
-            from repro.genome.io import read_reference
-            from repro.service.server import (AlignmentServer,
-                                              ServerConfig)
-
-            async def body():
-                server = AlignmentServer(
-                    read_reference(f"{dataset}.fa"),
-                    config=ServerConfig(unix_path=sock,
-                                        stats_interval_s=0))
-                await server.start()
-                started.set()
-                while not stop_flag:
-                    await asyncio.sleep(0.05)
-                await server.shutdown(drain=True)
-
-            asyncio.run(body())
-            server_done.set()
-
-        started = threading.Event()
-        stop_flag = []
-        thread = threading.Thread(target=serve_thread, daemon=True)
-        thread.start()
-        assert started.wait(timeout=30), "server never came up"
-        try:
-            code = main(["loadgen", "--connect", f"unix:{sock}",
+        with serving_in_thread(f"{dataset}.fa",
+                               str(tmp_path / "svc.sock")) as endpoint:
+            code = main(["loadgen", "--connect", endpoint,
                          "--reference", f"{dataset}.fa",
                          "--requests", "40", "--concurrency", "16",
                          "--wait-ready", "10", "--max-p99-ms", "30000"])
-        finally:
-            stop_flag.append(True)
-            server_done.wait(timeout=30)
         assert code == 0
         out = capsys.readouterr().out
         assert "dropped 0" in out
         assert "errors 0" in out
+
+    def test_obs_export_connect_reads_live_stats(self, dataset, tmp_path,
+                                                 capsys):
+        """``obs export --connect`` renders a live server's metrics."""
+        with serving_in_thread(f"{dataset}.fa",
+                               str(tmp_path / "svc.sock")) as endpoint:
+            code = main(["obs", "export", "--connect", endpoint])
+        assert code == 0
+        out = capsys.readouterr().out
+        # The export's own stats request is the one request counted.
+        assert "repro_connections_total 1" in out
+        assert "repro_requests_total 1" in out
