@@ -10,12 +10,14 @@ import random
 
 import pytest
 
+from repro.genome.reference import Chromosome, ReferenceGenome
 from repro.genome.sequence import encode, random_sequence
 from repro.seeding.bidirectional import BidirectionalFMIndex
 from repro.seeding.bwt import suffix_array
 from repro.seeding.fmindex import FMIndex
 from repro.seeding.minimizers import minimizers
 from repro.seeding.smem import find_smems
+from repro.seeding.store import IndexStore, write_index_store
 from repro.extension.bitap import myers_distances
 from repro.extension.smith_waterman import smith_waterman
 
@@ -52,6 +54,20 @@ def test_bench_smem_per_read(benchmark, text):
 
     smems = benchmark(lambda: find_smems(index, read, min_length=19))
     assert smems
+    assert max(m.length for m in smems) >= 19
+
+
+def test_bench_smem_per_read_store(benchmark, text, tmp_path):
+    """``test_bench_smem_per_read`` over a store-attached (np.memmap) index,
+    the path every served tier seeds through."""
+    built = BidirectionalFMIndex(text[:50_000], occ_interval=128)
+    path = tmp_path / "smem.idx"
+    write_index_store(path, built, ReferenceGenome([Chromosome("bench", text[:50_000])]))
+    index = IndexStore.open(path).fmindex()
+    read = text[2000:2101]
+
+    smems = benchmark(lambda: find_smems(index, read, min_length=19))
+    assert smems == find_smems(built, read, min_length=19)
     assert max(m.length for m in smems) >= 19
 
 

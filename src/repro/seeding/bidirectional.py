@@ -58,9 +58,10 @@ class BidirectionalFMIndex:
     def __init__(self, text, occ_interval: int = 64, sa_sample: int = 1):
         codes = text if isinstance(text, np.ndarray) else seq.encode(text)
         codes = np.asarray(codes, dtype=np.uint8)
-        self.length = int(codes.size)
-        self.forward = FMIndex(codes, occ_interval=occ_interval, sa_sample=sa_sample)
-        self.backward = FMIndex(codes[::-1].copy(), occ_interval=occ_interval, sa_sample=sa_sample)
+        self._bind(
+            FMIndex(codes, occ_interval=occ_interval, sa_sample=sa_sample),
+            FMIndex(codes[::-1].copy(), occ_interval=occ_interval, sa_sample=sa_sample),
+        )
 
     @classmethod
     def from_indexes(cls, forward: FMIndex, backward: FMIndex) -> "BidirectionalFMIndex":
@@ -74,10 +75,15 @@ class BidirectionalFMIndex:
         if forward.length != backward.length:
             raise ValueError(f"component lengths differ: {forward.length} != {backward.length}")
         index = cls.__new__(cls)
-        index.length = forward.length
-        index.forward = forward
-        index.backward = backward
+        index._bind(forward, backward)
         return index
+
+    def _bind(self, forward: FMIndex, backward: FMIndex) -> None:
+        self.length = forward.length
+        self.forward = forward
+        self.backward = backward
+        self._cum_fwd = forward.cumulative_counts
+        self._cum_bwd = backward.cumulative_counts
 
     def full_interval(self) -> BiInterval:
         """The empty-pattern interval covering every suffix."""
@@ -88,32 +94,24 @@ class BidirectionalFMIndex:
         return self.extend_backward(self.full_interval(), code)
 
     def extend_backward(self, bi: BiInterval, code: int) -> BiInterval:
-        """Prepend ``code`` to the pattern (extend left in the text)."""
-        return self._extend(self.forward, bi, code, mirrored=False)
+        """Prepend ``code`` to the pattern (extend left in the text).
+
+        One :meth:`FMIndex.occ_pair` on the forward index narrows ``k``; the
+        partner start ``l`` then skips the rows that sort first. Within the
+        partner interval, occurrences continuing with the sentinel sort
+        first, then bases in code order, so those are the rows that do not
+        continue with ``code`` or a larger base.
+        """
+        occ_lo, sizes = self.forward.occ_pair(code, bi.k, bi.k + bi.s)
+        before = bi.s - sum(sizes[code:])
+        return BiInterval(self._cum_fwd[code] + occ_lo, bi.l + before, sizes[code])
 
     def extend_forward(self, bi: BiInterval, code: int) -> BiInterval:
-        """Append ``code`` to the pattern (extend right in the text)."""
-        mirrored = BiInterval(bi.l, bi.k, bi.s)
-        result = self._extend(self.backward, mirrored, code, mirrored=True)
-        return BiInterval(result.l, result.k, result.s)
-
-    @staticmethod
-    def _extend(index: FMIndex, bi: BiInterval, code: int, mirrored: bool) -> BiInterval:
-        """Core extension: two Occ-block fetches, then arithmetic.
-
-        ``index`` supplies Occ for the side being narrowed by search;
-        the other side's start is re-derived from the sub-interval sizes.
-        Within the partner interval, occurrences continuing with the
-        sentinel sort first, then bases in code order.
-        """
-        occ_lo = index.occ_all(bi.k)
-        occ_hi = index.occ_all(bi.k + bi.s)
-        sizes = occ_hi - occ_lo
-        cum = index.cumulative_counts
-        new_k = int(cum[code]) + int(occ_lo[code])
-        sentinel_hits = bi.s - int(sizes.sum())
-        new_l = bi.l + sentinel_hits + int(sizes[:code].sum())
-        return BiInterval(new_k, new_l, int(sizes[code]))
+        """Append ``code`` to the pattern (extend right in the text): the
+        mirror image of :meth:`extend_backward` on the reverse-text index."""
+        occ_lo, sizes = self.backward.occ_pair(code, bi.l, bi.l + bi.s)
+        before = bi.s - sum(sizes[code:])
+        return BiInterval(bi.k + before, self._cum_bwd[code] + occ_lo, sizes[code])
 
     def search(self, pattern) -> BiInterval:
         """Bidirectional interval of an exact pattern (built backward)."""
@@ -137,3 +135,4 @@ class BidirectionalFMIndex:
     def reset_stats(self) -> None:
         self.forward.stats.reset()
         self.backward.stats.reset()
+

@@ -6,6 +6,11 @@ Every occurrence-count lookup touches one checkpoint block in memory, so the
 index also *meters its own memory traffic*: the SU cycle model charges DRAM
 latency per recorded access, which is how the functional and timing layers
 share one code path.
+
+In software every lookup is one scalar rank kernel: a checkpoint counter plus
+a ``bytes.count`` over the partial block, both read through ``memoryview``s
+of the index's own arrays, so it runs no numpy code and costs the same on
+in-memory and memory-mapped indexes.
 """
 
 from __future__ import annotations
@@ -96,15 +101,13 @@ class FMIndex:
         np.cumsum(base_counts, out=self._cum[1:])
         self._cum[1:] += 1
 
-        # Occ checkpoints every `occ_interval` BWT positions.
+        # Occ checkpoints every `occ_interval` BWT positions: row ``ck`` holds
+        # the base counts in ``bwt[0 : ck * occ_interval]``.
         n_ckpt = m // occ_interval + 1
         self._occ_ckpt = np.zeros((n_ckpt, seq.ALPHABET_SIZE), dtype=np.int64)
-        running = np.zeros(seq.ALPHABET_SIZE, dtype=np.int64)
-        for ck in range(1, n_ckpt):
-            lo = (ck - 1) * occ_interval
-            block = self._bwt[lo : lo + occ_interval]
-            running += np.bincount(block[block != SENTINEL], minlength=seq.ALPHABET_SIZE)
-            self._occ_ckpt[ck] = running
+        for code in range(seq.ALPHABET_SIZE):
+            prefix = np.cumsum(self._bwt == code, dtype=np.int64)
+            self._occ_ckpt[1:, code] = prefix[occ_interval - 1 :: occ_interval]
 
         # Sampled suffix array, keyed by SA row; None marks unsampled rows.
         if sa_sample == 1:
@@ -113,6 +116,32 @@ class FMIndex:
         else:
             self._sa = sa_ext
             self._sa_mask = (sa_ext % sa_sample == 0) | (sa_ext == self.length)
+        self._attach_views()
+
+    def _attach_views(self) -> None:
+        """Build the rank kernel's views over the arrays this index holds.
+
+        A byte view of the BWT and a flat ``int64`` view of the checkpoint
+        table (counter ``code`` of checkpoint ``ck`` at ``4 * ck + code``).
+        Both are ``memoryview``s over the arrays themselves, plain ``ndarray``
+        or read-only ``np.memmap`` alike: nothing is copied, and reading them
+        yields Python ints, so a lookup runs no numpy code.
+        """
+        self._rows = int(self._bwt.size)
+        self._bwt_view = memoryview(self._bwt).cast("B")
+        self._ckpt_view = memoryview(self._occ_ckpt).cast("B").cast("q")
+        self._cum_ints = tuple(int(c) for c in self._cum)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # memoryviews do not pickle; __setstate__ rebuilds them.
+        state = dict(self.__dict__)
+        for name in ("_bwt_view", "_ckpt_view"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._attach_views()
 
     # ------------------------------------------------------------------ #
     # Zero-copy (de)serialization — the index-store attach path
@@ -149,6 +178,7 @@ class FMIndex:
         index._occ_ckpt = occ_ckpt
         index._sa = sa
         index._sa_mask = sa_mask
+        index._attach_views()
         return index
 
     def export_arrays(self) -> Dict[str, np.ndarray]:
@@ -166,47 +196,95 @@ class FMIndex:
         """Occurrences of ``code`` in ``bwt[0:row]``; one memory access."""
         if not 0 <= code < seq.ALPHABET_SIZE:
             raise ValueError(f"code must be 0..3, got {code}")
-        if not 0 <= row <= self._bwt.size:
-            raise IndexError(f"row {row} outside BWT of size {self._bwt.size}")
+        if not 0 <= row <= self._rows:
+            raise IndexError(f"row {row} outside BWT of size {self._rows}")
         self.stats.occ_accesses += 1
-        ck = row // self.occ_interval
-        count = int(self._occ_ckpt[ck, code])
-        start = ck * self.occ_interval
-        block = self._bwt[start:row]
-        return count + int(np.count_nonzero(block == code))
+        return self._rank(int(code), row)
 
-    def occ_all(self, row: int) -> np.ndarray:
+    def occ_all(self, row: int) -> Tuple[int, int, int, int]:
         """Occurrences of every base in ``bwt[0:row]``; one memory access.
 
         The LFMapBit checkpoint block stores all four counters together, so
         a single block fetch answers all four queries — this is what makes
         the hardware's per-step cost one access rather than four.
         """
-        if not 0 <= row <= self._bwt.size:
-            raise IndexError(f"row {row} outside BWT of size {self._bwt.size}")
+        if not 0 <= row <= self._rows:
+            raise IndexError(f"row {row} outside BWT of size {self._rows}")
         self.stats.occ_accesses += 1
+        return self._rank_all(row)
+
+    def occ_pair(self, code: int, lo: int, hi: int) -> Tuple[int, Tuple[int, int, int, int]]:
+        """``(occ(code, lo), per-base counts in bwt[lo:hi])``; two memory accesses.
+
+        One bidirectional extension step: the checkpoint blocks of both
+        interval ends. When the interval lies within one block, a single
+        slice of it answers both.
+        """
+        if not 0 <= code < seq.ALPHABET_SIZE:
+            raise ValueError(f"code must be 0..3, got {code}")
+        if not 0 <= lo <= hi <= self._rows:
+            raise IndexError(f"rows [{lo}, {hi}) outside BWT of size {self._rows}")
+        self.stats.occ_accesses += 2
+        code = int(code)
+        step = self.occ_interval
+        ck = lo // step
+        start = ck * step
+        if hi - start > step:
+            below = self._rank_all(lo)
+            upto = self._rank_all(hi)
+            return below[code], (
+                upto[0] - below[0],
+                upto[1] - below[1],
+                upto[2] - below[2],
+                upto[3] - below[3],
+            )
+        block = self._bwt_view[start:hi].tobytes()
+        split = lo - start
+        count = block.count
+        return (
+            self._ckpt_view[4 * ck + code] + count(code, 0, split),
+            (count(0, split), count(1, split), count(2, split), count(3, split)),
+        )
+
+    def _rank(self, code: int, row: int) -> int:
+        """The rank kernel: the checkpoint counter plus a partial-block count."""
         ck = row // self.occ_interval
-        counts = self._occ_ckpt[ck].copy()
         start = ck * self.occ_interval
-        block = self._bwt[start:row]
-        if block.size:
-            counts += np.bincount(block[block != SENTINEL], minlength=seq.ALPHABET_SIZE)
-        return counts
+        count = self._ckpt_view[4 * ck + code]
+        if row > start:
+            count += self._bwt_view[start:row].tobytes().count(code)
+        return count
+
+    def _rank_all(self, row: int) -> Tuple[int, int, int, int]:
+        """:meth:`_rank` for all four bases from one block."""
+        ck = row // self.occ_interval
+        start = ck * self.occ_interval
+        table = self._ckpt_view
+        base = 4 * ck
+        if row == start:
+            return table[base], table[base + 1], table[base + 2], table[base + 3]
+        count = self._bwt_view[start:row].tobytes().count
+        return (
+            table[base] + count(0),
+            table[base + 1] + count(1),
+            table[base + 2] + count(2),
+            table[base + 3] + count(3),
+        )
 
     @property
-    def cumulative_counts(self) -> np.ndarray:
-        """The C array: row 0 sentinel rank, then per-base cumulative counts."""
-        return self._cum
+    def cumulative_counts(self) -> Tuple[int, ...]:
+        """The C array as Python ints: row 0 sentinel rank, then per-base
+        cumulative counts."""
+        return self._cum_ints
 
     def full_interval(self) -> SAInterval:
         """Interval covering every suffix (the empty-pattern match)."""
-        return SAInterval(0, self._bwt.size)
+        return SAInterval(0, self._rows)
 
     def backward_extend(self, interval: SAInterval, code: int) -> SAInterval:
         """Extend the matched pattern by one symbol on the *left*."""
-        lo = int(self._cum[code]) + self.occ(code, interval.lo)
-        hi = int(self._cum[code]) + self.occ(code, interval.hi)
-        return SAInterval(lo, hi)
+        cum = self._cum_ints[code]
+        return SAInterval(cum + self.occ(code, interval.lo), cum + self.occ(code, interval.hi))
 
     def search(self, pattern) -> SAInterval:
         """SA interval of exact occurrences of ``pattern`` (may be empty)."""
@@ -263,10 +341,10 @@ class FMIndex:
         return int(self._sa[current]) + steps
 
     def _lf(self, row: int) -> int:
-        code = int(self._bwt[row])
+        code = self._bwt_view[row]
         if code == SENTINEL:
             return 0
-        return int(self._cum[code]) + self.occ(code, row)
+        return self._cum_ints[code] + self.occ(code, row)
 
     @staticmethod
     def _pattern_codes(pattern) -> np.ndarray:

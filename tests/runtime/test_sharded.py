@@ -173,6 +173,25 @@ class TestAlignmentDeterminism:
         assert self.sam_text(reference, plain) == \
             self.sam_text(reference, batched)
 
+    def test_spawn_workers_given_a_queried_index(self, substrate):
+        """Spawned workers unpickle the caller's index from the pool
+        initializer; one that has already served queries must survive
+        the trip and align byte-identically to a serial run."""
+        from repro.seeding.bidirectional import BidirectionalFMIndex
+        from repro.seeding.smem import find_smems
+
+        reference, reads = substrate
+        index = BidirectionalFMIndex(reference.concatenated(), occ_interval=128)
+        find_smems(index, reads[0].sequence)
+        kwargs = {"index": index}
+        serial = ShardedRunner(parallelism=1, shard_size=30).align(
+            reference, reads, aligner_kwargs=kwargs)
+        spawned = ShardedRunner(parallelism=2, shard_size=30,
+                                mp_context="spawn").align(
+            reference, reads, aligner_kwargs=kwargs)
+        assert self.sam_text(reference, spawned) == \
+            self.sam_text(reference, serial)
+
     def test_global_read_indices_preserved(self, substrate):
         reference, reads = substrate
         results = ShardedRunner(parallelism=2, shard_size=25).align(

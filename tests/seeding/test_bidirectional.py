@@ -1,5 +1,6 @@
 """Tests for the bidirectional FM-index."""
 
+import pickle
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.genome.sequence import encode, random_sequence
 from repro.seeding.bidirectional import BidirectionalFMIndex
+from repro.seeding.smem import find_smems
 
 
 def naive_positions(text, pattern):
@@ -100,11 +102,40 @@ class TestAccessAccounting:
     def test_extension_counts_block_fetches(self, text):
         index = BidirectionalFMIndex(text, occ_interval=32)
         index.reset_stats()
-        index.search("ACGTAC")
-        # each extension = 2 occ_all fetches, ≤6 extensions
-        assert 2 <= index.occ_accesses <= 12
+        pattern = text[100:106]
+        index.search(pattern)
+        # every base occurs, so all six extensions run: 2 fetches each
+        assert index.occ_accesses == 2 * len(pattern)
         index.reset_stats()
         assert index.occ_accesses == 0
+
+    def test_forward_extension_counts_block_fetches(self, text):
+        index = BidirectionalFMIndex(text, occ_interval=32)
+        bi = index.full_interval()
+        index.reset_stats()
+        for steps, base in enumerate(text[200:210], start=1):
+            bi = index.extend_forward(bi, "ACGT".index(base))
+            assert index.occ_accesses == 2 * steps
+        assert bi.s >= 1
+
+
+class TestPickle:
+    def test_clone_of_a_queried_index_answers_identically(self, text):
+        index = BidirectionalFMIndex(text, occ_interval=32, sa_sample=4)
+        rng = random.Random(6)
+        reads = [text[start:start + 60] for start in (10, 700, 1500)]
+        reads.append(random_sequence(60, rng))
+        find_smems(index, reads[0], min_length=10)
+        clone = pickle.loads(pickle.dumps(index))
+        for read in reads:
+            index.reset_stats()
+            clone.reset_stats()
+            expected = find_smems(index, read, min_length=10)
+            assert find_smems(clone, read, min_length=10) == expected
+            assert clone.occ_accesses == index.occ_accesses
+            for smem in expected:
+                assert clone.locate(smem.interval) == index.locate(smem.interval)
+            assert clone.forward.stats == index.forward.stats
 
 
 @given(st.text(alphabet="ACGT", min_size=2, max_size=50),

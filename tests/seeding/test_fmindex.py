@@ -2,12 +2,16 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.genome.reference import Chromosome, ReferenceGenome
 from repro.genome.sequence import random_sequence
+from repro.seeding.bidirectional import BidirectionalFMIndex
 from repro.seeding.fmindex import FMIndex
+from repro.seeding.store import IndexStore, write_index_store
 
 
 def naive_positions(text: str, pattern: str):
@@ -93,6 +97,60 @@ class TestCountAndSearch:
             combined = index.occ_all(row)
             for code in range(4):
                 assert combined[code] == index.occ(code, row)
+
+
+@pytest.fixture(scope="module", params=["memory", "store"])
+def rank_index(request, tmp_path_factory):
+    """A component FM-index over 700 bp, built in memory or store-attached."""
+    text = random_sequence(700, random.Random(13))
+    index = BidirectionalFMIndex(text, occ_interval=16)
+    if request.param == "store":
+        path = tmp_path_factory.mktemp("rank") / "text.idx"
+        write_index_store(path, index, ReferenceGenome([Chromosome("t", text)]))
+        index = IndexStore.open(path).fmindex()
+    return index.forward
+
+
+class TestRankAgainstBWT:
+    """Every Occ entry point agrees with counting the BWT directly."""
+
+    def test_occ_and_occ_all_every_row(self, rank_index):
+        bwt = np.asarray(rank_index.export_arrays()["bwt"])
+        for row in range(bwt.size + 1):
+            expected = [int(np.count_nonzero(bwt[:row] == code)) for code in range(4)]
+            assert [rank_index.occ(code, row) for code in range(4)] == expected
+            assert list(rank_index.occ_all(row)) == expected
+
+    def test_occ_pair_every_interval(self, rank_index):
+        bwt = np.asarray(rank_index.export_arrays()["bwt"])
+        rng = random.Random(14)
+        for lo in range(0, bwt.size + 1, 3):
+            for end in (lo, lo + 1, lo + rng.randint(2, 40), rng.randint(lo, bwt.size)):
+                hi = min(end, bwt.size)
+                counts = tuple(int(np.count_nonzero(bwt[lo:hi] == code)) for code in range(4))
+                for code in range(4):
+                    before = rank_index.stats.occ_accesses
+                    assert rank_index.occ_pair(code, lo, hi) == (
+                        int(np.count_nonzero(bwt[:lo] == code)),
+                        counts,
+                    )
+                    assert rank_index.stats.occ_accesses == before + 2
+
+    def test_out_of_range_rejected(self, rank_index):
+        size = len(rank_index) + 1
+        for row in (-1, size + 1):
+            with pytest.raises(IndexError):
+                rank_index.occ(0, row)
+            with pytest.raises(IndexError):
+                rank_index.occ_all(row)
+        for code in (-1, 4):
+            with pytest.raises(ValueError):
+                rank_index.occ(code, 0)
+            with pytest.raises(ValueError):
+                rank_index.occ_pair(code, 0, 1)
+        for lo, hi in ((-1, 3), (3, 2), (0, size + 1)):
+            with pytest.raises(IndexError):
+                rank_index.occ_pair(0, lo, hi)
 
 
 class TestLocate:

@@ -1,14 +1,18 @@
 """SMEM finding validated against a brute-force oracle."""
 
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.genome.reference import Chromosome, ReferenceGenome
 from repro.genome.sequence import random_sequence
 from repro.seeding.bidirectional import BidirectionalFMIndex
 from repro.seeding.smem import find_smems, smems_covering
+from repro.seeding.store import IndexStore, write_index_store
 
 
 def oracle_smems(text: str, read: str, min_length: int = 1):
@@ -129,10 +133,29 @@ def _count(text, pattern):
         start = idx + 1
 
 
+@pytest.mark.parametrize("occ_interval", [1, 8, 128])
+@pytest.mark.parametrize("kind", ["memory", "store"])
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40, deadline=None)
-def test_property_matches_oracle(seed):
+def test_property_matches_oracle(kind, occ_interval, seed):
     rng = random.Random(seed)
-    text = random_sequence(rng.randint(20, 150), rng)
-    read = random_sequence(rng.randint(3, 50), rng)
-    assert run_find(text, read) == oracle_smems(text, read)
+    # Twelve checkpoint blocks of text: single-base intervals then span
+    # about three blocks, so the rank kernel's cross-block path runs too.
+    text = random_sequence(rng.randint(20, 150) + 12 * occ_interval, rng)
+    if rng.random() < 0.5:
+        read = random_sequence(rng.randint(3, 50), rng)
+    else:
+        length = rng.randint(3, min(50, len(text)))
+        start = rng.randrange(0, len(text) - length + 1)
+        read = list(text[start:start + length])
+        read[rng.randrange(len(read))] = rng.choice("ACGT")
+        read = "".join(read)
+    index = BidirectionalFMIndex(text, occ_interval=occ_interval)
+    with tempfile.TemporaryDirectory() as tmp:
+        if kind == "store":
+            path = os.path.join(tmp, "text.idx")
+            write_index_store(path, index, ReferenceGenome([Chromosome("t", text)]))
+            index = IndexStore.open(path).fmindex()
+        smems = find_smems(index, read, min_length=1)
+        got = sorted((m.read_start, m.read_end) for m in smems)
+    assert got == oracle_smems(text, read)
