@@ -1,13 +1,7 @@
-"""Lint analyzer benchmarks: serial vs multiprocess per-file pass.
+"""Lint analyzer benchmark: both rule layers over ``src/``, one process.
 
-``repro lint --jobs N`` fans the per-file rules out over a process
-pool; the flow pass stays serial in the parent. The two means recorded
-in ``baseline.json`` give the serial-vs-4-job ratio for the machine the
-baseline was captured on — on a single-core CI runner the pool
-degenerates to roughly 1.0x (the whole point is that it degenerates
-*gracefully* instead of regressing), on developer machines it tracks
-core count. The identity test pins the contract that makes ``--jobs``
-safe to default into CI: byte-identical findings regardless of N.
+The mean recorded in ``baseline.json`` is the wall time of a full
+``repro lint src/`` analysis (per-file rules plus the flow pass).
 """
 
 from pathlib import Path
@@ -15,43 +9,13 @@ from pathlib import Path
 from repro.lint import LintConfig, run_analysis
 
 ROOT = Path(__file__).resolve().parents[1]
-JOBS = 4
-
-
-def _config() -> LintConfig:
-    return LintConfig.load(ROOT)
-
-
-def _signature(report):
-    return [(f.path, f.line, f.rule_id, f.message)
-            for f in report.findings]
 
 
 def test_bench_lint_serial(benchmark):
     """Both rule layers over src/, one process."""
-    config = _config()
+    config = LintConfig.load(ROOT)
     report = benchmark.pedantic(
         run_analysis, args=([str(ROOT / "src")], config),
-        kwargs={"jobs": 1}, rounds=1, iterations=1)
+        rounds=1, iterations=1)
     assert report.files_checked > 0
     assert not report.parse_errors
-
-
-def test_bench_lint_jobs4(benchmark):
-    """Same analysis with the per-file pass on a 4-worker pool."""
-    config = _config()
-    report = benchmark.pedantic(
-        run_analysis, args=([str(ROOT / "src")], config),
-        kwargs={"jobs": JOBS}, rounds=1, iterations=1)
-    assert report.files_checked > 0
-    assert not report.parse_errors
-
-
-def test_parallel_findings_identical_to_serial():
-    """--jobs must never change the answer, only the wall clock."""
-    config = _config()
-    serial = run_analysis([str(ROOT / "src")], config, jobs=1)
-    parallel = run_analysis([str(ROOT / "src")], config, jobs=JOBS)
-    assert _signature(parallel) == _signature(serial)
-    assert parallel.files_checked == serial.files_checked
-    assert parallel.parse_errors == serial.parse_errors

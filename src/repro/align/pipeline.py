@@ -75,11 +75,6 @@ class SoftwareAligner:
         window_pad: reference bases added around a chain for extension.
         scoring: affine scheme for extension (BWA-MEM defaults).
         occ_interval: FM-index checkpoint spacing (paper: 128).
-        seeding: ``"fmindex"`` for BWA-MEM's SMEMs (default) or
-            ``"hash"`` for Darwin's k-mer table — the two seeding
-            algorithms of Sec. II-B, selectable because NvWa's loose
-            coupling makes the seeding substrate swappable.
-        hash_k: k-mer length for the hash seeding mode.
         index: optional prebuilt :class:`BidirectionalFMIndex` over this
             reference (e.g. from the runtime artifact cache); skips index
             construction, by far the most expensive part of setup.
@@ -92,23 +87,11 @@ class SoftwareAligner:
                  window_pad: int = 24,
                  scoring: ScoringScheme = BWA_MEM_SCORING,
                  occ_interval: int = 128,
-                 seeding: str = "fmindex",
-                 hash_k: int = 12,
                  index: Optional[BidirectionalFMIndex] = None):
-        if seeding not in ("fmindex", "hash"):
-            raise ValueError(
-                f"seeding must be fmindex or hash, got {seeding!r}")
         self.reference = reference
         self.text = reference.concatenated()
-        self.seeding = seeding
-        if seeding == "fmindex":
-            self.index = index if index is not None else \
-                BidirectionalFMIndex(self.text, occ_interval=occ_interval)
-            self.hash_index = None
-        else:
-            from repro.seeding.hashindex import KmerHashIndex
-            self.index = None
-            self.hash_index = KmerHashIndex(self.text, k=hash_k)
+        self.index = index if index is not None else \
+            BidirectionalFMIndex(self.text, occ_interval=occ_interval)
         self.min_seed_length = min_seed_length
         self.max_seed_occurrences = max_seed_occurrences
         self.max_chains = max_chains
@@ -119,22 +102,8 @@ class SoftwareAligner:
     # Pipeline steps
     # ------------------------------------------------------------------ #
 
-    @property
-    def anchor_min_length(self) -> int:
-        """Anchor filter threshold (hash k-mers are shorter than SMEMs)."""
-        if self.seeding == "hash":
-            return self.hash_index.k
-        return self.min_seed_length
-
     def collect_anchors(self, read_seq: str, work: PhaseWork) -> List[Anchor]:
-        """Step ❶: exact-match anchors of the read and its reverse
-        complement, from the configured seeding algorithm."""
-        if self.seeding == "hash":
-            return self._collect_hash_anchors(read_seq, work)
-        return self._collect_smem_anchors(read_seq, work)
-
-    def _collect_smem_anchors(self, read_seq: str,
-                              work: PhaseWork) -> List[Anchor]:
+        """Step ❶: SMEM anchors of the read and its reverse complement."""
         anchors: List[Anchor] = []
         for reverse, oriented in ((False, read_seq),
                                   (True, seq.reverse_complement(read_seq))):
@@ -153,30 +122,10 @@ class SoftwareAligner:
             work.seeding_accesses += self.index.occ_accesses - before
         return anchors
 
-    def _collect_hash_anchors(self, read_seq: str,
-                              work: PhaseWork) -> List[Anchor]:
-        """Darwin's seeding: every k-mer of both orientations, 2+P cost."""
-        anchors: List[Anchor] = []
-        k = self.hash_index.k
-        for reverse, oriented in ((False, read_seq),
-                                  (True, seq.reverse_complement(read_seq))):
-            if len(oriented) < k:
-                continue
-            before = self.hash_index.stats.total
-            for read_pos, ref_pos in self.hash_index.seeds_for_read(
-                    oriented, stride=1,
-                    max_hits_per_kmer=self.max_seed_occurrences):
-                anchors.append(Anchor(read_start=read_pos,
-                                      read_end=read_pos + k,
-                                      ref_start=ref_pos, reverse=reverse))
-            work.seeding_steps += len(oriented) - k + 1
-            work.seeding_accesses += self.hash_index.stats.total - before
-        return anchors
-
     def build_hits(self, read_idx: int, read_len: int,
                    anchors: Sequence[Anchor]) -> List[Hit]:
         """Step ❷: filter + chain, then emit Table III hit records."""
-        filtered = filter_anchors(anchors, self.anchor_min_length)
+        filtered = filter_anchors(anchors, self.min_seed_length)
         chains = top_chains(chain_anchors(filtered), self.max_chains) \
             if filtered else []
         hits = []

@@ -381,8 +381,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         host=args.host, port=args.port, unix_path=args.unix_socket,
         health_interval_s=args.health_interval,
         request_timeout_s=args.request_timeout_ms / 1000.0,
-        shard_concurrency=args.shard_concurrency,
-        queue_depth=args.queue_depth,
         default_budget_ms=args.default_budget_ms)
 
     async def serve() -> None:
@@ -708,15 +706,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(0 disables eject/readmit)")
     p.add_argument("--request-timeout-ms", type=float, default=30_000.0,
                    help="gateway per-request deadline (0 disables)")
-    p.add_argument("--shard-concurrency", type=int, default=64,
-                   help="concurrent requests admitted per shard before "
-                        "the admission queue engages")
-    p.add_argument("--queue-depth", type=int, default=256,
-                   help="waiting slots per shard admission queue "
-                        "(0 = shed immediately at capacity)")
     p.add_argument("--default-budget-ms", type=float, default=0.0,
-                   help="deadline budget applied to requests that do "
-                        "not carry budget_ms (0 = none)")
+                   help="deadline budget forwarded to the backends for "
+                        "requests that do not carry budget_ms (0 = none)")
     p.add_argument("--no-auto-restart", action="store_true",
                    help="disable the self-healing monitor loop "
                         "(dead backends stay dead)")
@@ -857,14 +849,11 @@ def _validate(parser: argparse.ArgumentParser,
                          f"got {args.cluster_backends}")
     if getattr(args, "command", None) == "cluster":
         for name in ("shards", "replicas", "workers", "max_batch",
-                     "shard_concurrency", "crash_loop_threshold"):
+                     "crash_loop_threshold"):
             value = getattr(args, name)
             if value < 1:
                 flag = "--" + name.replace("_", "-")
                 parser.error(f"{flag} must be >= 1, got {value}")
-        if args.queue_depth < 0:
-            parser.error(
-                f"--queue-depth must be >= 0, got {args.queue_depth}")
         if args.default_budget_ms < 0:
             parser.error(f"--default-budget-ms must be >= 0, "
                          f"got {args.default_budget_ms}")

@@ -12,9 +12,9 @@ keeping every member busy.  The pieces:
 - :mod:`~repro.cluster.merge` — deterministic scatter/gather merge of
   per-shard align responses;
 - :mod:`~repro.cluster.gateway` — the NDJSON front door: routing,
-  failover, health-checked membership, per-backend breakers,
-  bounded deadline-aware admission queues, idempotency dedup, live ring
-  reconciliation of restarted replicas;
+  failover, health-checked membership, per-backend breakers, latency
+  budgets forwarded to the backends' admission queues, idempotency
+  dedup, live ring reconciliation of restarted replicas;
 - :mod:`~repro.cluster.supervisor` — backend fleet as real processes
   (spawn on ephemeral ports, atomic state file, SIGTERM drain, SIGKILL
   for chaos, and a self-healing monitor loop: restart with exponential
@@ -23,14 +23,7 @@ keeping every member busy.  The pieces:
 See docs/CLUSTER.md for topology, routing, and failure semantics.
 """
 
-from repro.cluster.gateway import (
-    AdmissionQueue,
-    BackendHandle,
-    ClusterGateway,
-    GatewayConfig,
-    QueueFullShed,
-    QueueTimeoutShed,
-)
+from repro.cluster.gateway import BackendHandle, ClusterGateway, GatewayConfig
 from repro.cluster.merge import (
     MergeError,
     gather_complete,
@@ -55,7 +48,6 @@ from repro.cluster.topology import (
 )
 
 __all__ = [
-    "AdmissionQueue",
     "BackendHandle",
     "BackendProcess",
     "BackendSpec",
@@ -66,8 +58,6 @@ __all__ = [
     "GatewayConfig",
     "HashRing",
     "MergeError",
-    "QueueFullShed",
-    "QueueTimeoutShed",
     "RestartPolicy",
     "SupervisorError",
     "SupervisorEvent",

@@ -32,12 +32,10 @@ mode:
 - connection errors and retryable sheds fail over to the next replica
   in the ring's deterministic preference order — each request is on
   exactly one backend at a time, so no backend repeats another's work;
-- a bounded per-shard **admission queue** absorbs bursts above the
-  shard's concurrency: waiters carry the request's latency budget and
-  are shed with a typed ``queue_timeout`` (never executed, budget
-  spent) the moment their deadline passes — at enqueue, while waiting,
-  or at dequeue — while a full queue sheds new arrivals with
-  ``overloaded``;
+- **no admission queue of its own**: each backend's batcher is the one
+  bounded, deadline-aware queue on a request's path; every backend
+  attempt carries what is left of the budget (the request's, else
+  ``default_budget_ms``), and a full cluster answers ``overloaded``;
 - **live ring reconciliation**: when the supervisor restarts a dead
   replica it announces the fresh endpoint via
   :meth:`ClusterGateway.notify_endpoint`; the gateway re-probes it and
@@ -63,15 +61,15 @@ import asyncio
 import logging
 import time
 import uuid
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional
 
 from repro import obs
 from repro.cluster.merge import merge_align_payloads
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.cluster.topology import ClusterTopology
 from repro.faults.breaker import STATE_CODES, CircuitBreaker
+from repro.service.batcher import QueueTimeoutShed
 from repro.service.client import AsyncServiceClient
 from repro.service.metrics import MetricsRegistry
 from repro.service.protocol import (
@@ -91,9 +89,10 @@ logger = logging.getLogger("repro.cluster")
 #: Response fields that are transport framing or client-side, not payload.
 _FRAMING_KEYS = ("id", "ok", "meta")
 
-#: Slack past a request's budget before the blunt gateway timeout fires,
-#: so deadline sheds surface as typed ``queue_timeout`` responses.
-_BUDGET_GRACE_S = 0.05
+#: The gateway counter each typed shed it answers with increments.
+_SHED_COUNTERS = {ERR_BUSY: "shed_busy_total",
+                  ERR_OVERLOADED: "shed_queue_full_total",
+                  ERR_QUEUE_TIMEOUT: "shed_queue_timeout_total"}
 
 
 @dataclass
@@ -115,17 +114,9 @@ class GatewayConfig:
     breaker_cooldown_s: float = 1.0
     breaker_probes: int = 1
     idempotency_capacity: int = 4096
-    shard_concurrency: int = 64      # in-flight group calls per shard
-    queue_depth: int = 256           # waiting slots per shard; 0 = none
     default_budget_ms: float = 0.0   # applied when a request has none
 
     def __post_init__(self) -> None:
-        if self.shard_concurrency < 1:
-            raise ValueError(f"shard_concurrency must be >= 1, "
-                             f"got {self.shard_concurrency}")
-        if self.queue_depth < 0:
-            raise ValueError(
-                f"queue_depth must be >= 0, got {self.queue_depth}")
         if self.default_budget_ms < 0:
             raise ValueError(f"default_budget_ms must be >= 0, "
                              f"got {self.default_budget_ms}")
@@ -207,130 +198,15 @@ class BackendHandle:
 
 
 class _BackendUnavailable(Exception):
-    """This attempt failed in a way the router may absorb (next replica)."""
+    """This attempt failed in a way the router may absorb (next replica).
 
-
-class QueueFullShed(ServiceError):
-    """Admission refused outright: concurrency and queue both full."""
-
-    def __init__(self, message: str):
-        super().__init__(ERR_OVERLOADED, message)
-
-
-class QueueTimeoutShed(ServiceError):
-    """The request's budget expired while it sat in the admission queue.
-
-    It never executed, but its budget is spent — distinct from ``busy``
-    so clients know a retry is pointless.
+    ``code`` is what the gateway answers if no replica succeeds: the
+    backend's own shed code, or ``busy`` when it never answered.
     """
 
-    def __init__(self, message: str):
-        super().__init__(ERR_QUEUE_TIMEOUT, message)
-
-
-class AdmissionQueue:
-    """A bounded, deadline-aware admission gate for one shard group.
-
-    At most ``concurrency`` group calls run at once; up to ``depth``
-    more wait in FIFO order.  Beyond that, new arrivals shed
-    immediately (:class:`QueueFullShed` → ``overloaded``).  Every
-    waiter carries its request's absolute deadline; a waiter whose
-    budget runs out is shed with :class:`QueueTimeoutShed` →
-    ``queue_timeout`` — both while waiting and at dequeue time, so a
-    freed slot is never wasted on a request whose client has already
-    given up.  Single event loop, so no locking: state mutations only
-    happen between awaits.
-    """
-
-    def __init__(self, shard: int, concurrency: int, depth: int,
-                 metrics: MetricsRegistry):
-        self.shard = shard
-        self.concurrency = concurrency
-        self.depth = depth
-        self.metrics = metrics
-        self.in_flight = 0
-        self.peak_depth = 0
-        self._waiters: Deque[Tuple[asyncio.Future,
-                                   Optional[float]]] = deque()
-
-    def _sync_depth(self) -> None:
-        depth = len(self._waiters)
-        if depth > self.peak_depth:
-            self.peak_depth = depth
-            self.metrics.set_gauge(
-                f"shard{self.shard}_queue_depth_peak", depth)
-        self.metrics.set_gauge(f"shard{self.shard}_queue_depth", depth)
-
-    async def acquire(self, deadline: Optional[float]) -> None:
-        now = time.monotonic()
-        if deadline is not None and now >= deadline:
-            raise QueueTimeoutShed(
-                f"shard {self.shard}: budget spent before admission")
-        if self.in_flight < self.concurrency:
-            self.in_flight += 1
-            self.metrics.inc("queue_admits_total")
-            return
-        if len(self._waiters) >= self.depth:
-            raise QueueFullShed(
-                f"shard {self.shard}: {self.in_flight} in flight, "
-                f"queue of {self.depth} full")
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        entry = (future, deadline)
-        self._waiters.append(entry)
-        self._sync_depth()
-        timeout = None if deadline is None else max(0.0, deadline - now)
-        try:
-            await asyncio.wait_for(future, timeout)
-        except asyncio.TimeoutError:
-            self._discard(entry)
-            raise QueueTimeoutShed(
-                f"shard {self.shard}: budget spent after waiting "
-                f"{time.monotonic() - now:.3f}s in queue") from None
-        except asyncio.CancelledError:
-            if future.done() and not future.cancelled() \
-                    and future.exception() is None:
-                # release() granted us a slot in the same tick the
-                # request got cancelled: hand the slot straight back.
-                self.release()
-            else:
-                self._discard(entry)
-            raise
-        finally:
-            self._sync_depth()
-        self.metrics.inc("queue_admits_total")
-        self.metrics.observe("queue_wait_s", time.monotonic() - now)
-
-    def _discard(self, entry: Tuple[asyncio.Future,
-                                    Optional[float]]) -> None:
-        try:
-            self._waiters.remove(entry)
-        except ValueError:
-            pass
-
-    def release(self) -> None:
-        """Free one slot and hand it to the first still-live waiter."""
-        self.in_flight -= 1
-        now = time.monotonic()
-        while self._waiters:
-            future, deadline = self._waiters.popleft()
-            if future.done():
-                continue  # cancelled while queued
-            if deadline is not None and now >= deadline:
-                # Deadline-aware dequeue: don't burn the slot on a
-                # request nobody is waiting for any more.
-                future.set_exception(QueueTimeoutShed(
-                    f"shard {self.shard}: budget spent while queued"))
-                continue
-            self.in_flight += 1
-            future.set_result(None)
-            break
-        self._sync_depth()
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"shard": self.shard, "in_flight": self.in_flight,
-                "depth": len(self._waiters), "peak_depth": self.peak_depth,
-                "concurrency": self.concurrency,
-                "max_depth": self.depth}
+    def __init__(self, message: str, code: str = ERR_BUSY):
+        super().__init__(message)
+        self.code = code
 
 
 class ClusterGateway(NdjsonFrontEnd):
@@ -373,10 +249,6 @@ class ClusterGateway(NdjsonFrontEnd):
                 [spec.backend_id for spec in topology.shard_group(shard)],
                 vnodes=self.config.vnodes)
             for shard in range(topology.shards)}
-        self._queues: Dict[int, AdmissionQueue] = {
-            shard: AdmissionQueue(shard, self.config.shard_concurrency,
-                                  self.config.queue_depth, self.metrics)
-            for shard in range(topology.shards)}
         self._health_task: Optional[asyncio.Task] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._session = uuid.uuid4().hex[:12]
@@ -384,9 +256,6 @@ class ClusterGateway(NdjsonFrontEnd):
             self.metrics.set_gauge(f"backend_{backend_id}_healthy", 1)
             self.metrics.set_gauge(f"backend_{backend_id}_breaker_state",
                                    STATE_CODES["closed"])
-        for shard in range(topology.shards):
-            self.metrics.set_gauge(f"shard{shard}_queue_depth", 0)
-            self.metrics.set_gauge(f"shard{shard}_queue_depth_peak", 0)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -428,18 +297,11 @@ class ClusterGateway(NdjsonFrontEnd):
 
     def _admit(self, request: AlignRequest, conn_id: int,
                span: Any) -> Awaitable[Dict[str, Any]]:
-        # A request budget bounds the whole gateway round trip:
-        # admission waits shed at the deadline (queue_timeout) and
-        # execution is capped at the remaining budget plus a small grace
-        # so queue sheds — typed, actionable — win the race against the
-        # blunt outer timeout.
-        budget_ms = request.budget_ms or self.config.default_budget_ms
-        timeout = self.config.request_timeout_s or None
-        deadline: Optional[float] = None
-        if budget_ms:
-            deadline = time.monotonic() + budget_ms / 1000.0
-            capped = budget_ms / 1000.0 + _BUDGET_GRACE_S
-            timeout = capped if timeout is None else min(timeout, capped)
+        # A request budget bounds the whole gateway round trip: every
+        # backend attempt carries what is left of it, and the wait is
+        # capped a little past it.
+        deadline, timeout = self._deadline(
+            request.budget_ms or self.config.default_budget_ms)
         return asyncio.wait_for(self._route(request, conn_id, deadline),
                                 timeout)
 
@@ -495,59 +357,59 @@ class ClusterGateway(NdjsonFrontEnd):
                                        f"{idem_base}#s{shard}", deadline)
                       for shard in range(self.topology.shards)))
             return merge_align_payloads(list(enumerate(results)))
-        except QueueTimeoutShed:
-            self.metrics.inc("shed_queue_timeout_total")
-            raise
-        except QueueFullShed:
-            self.metrics.inc("shed_queue_full_total")
-            raise
-        except _BackendUnavailable as exc:
-            # Every candidate replica failed: shed retryably — the
-            # client's RetryPolicy backs off while health/breakers
-            # recover, exactly like a single server in degraded mode.
+        except (_BackendUnavailable, ServiceError) as exc:
+            counter = _SHED_COUNTERS.get(exc.code)
+            if counter is not None:
+                self.metrics.inc(counter)
+            if not isinstance(exc, _BackendUnavailable):
+                raise
+            # No replica served: once per request, not per shard group.
             self.metrics.inc("unroutable_total")
-            self.metrics.inc("shed_busy_total")
-            raise ServiceError(ERR_BUSY,
-                               f"no routable backend: {exc}") from exc
+            raise ServiceError(exc.code, f"no routable backend: {exc}")
 
     async def _call_group(self, shard: int, key: str,
                           request: AlignRequest, idem_key: str,
                           deadline: Optional[float]) -> Dict[str, Any]:
-        """One logical call against ``shard``'s replica group: admission
-        gate, then failover down the preference order.
+        """One logical call against ``shard``'s replica group: failover
+        down the preference order.
 
         The request is on one backend at a time.  A failure the router
         may absorb (:class:`_BackendUnavailable`) moves it to the next
-        candidate and counts a failover; any other error propagates;
-        when every candidate has failed, the last failure is raised.
+        candidate and counts a failover; any other error propagates.
+        When every candidate has failed, the request is shed with the
+        last failure's code: ``busy`` and ``overloaded`` are retryable,
+        so the client's RetryPolicy backs off while health, breakers
+        and backend queues recover.
         """
-        queue = self._queues[shard]
-        await queue.acquire(deadline)
-        try:
-            candidates = self._candidates(shard, key)
-            failure = _BackendUnavailable(
-                f"shard {shard}: every replica retired or ejected")
-            with obs.span("route", "cluster", key=key, shard=shard,
-                          primary=(candidates[0].backend_id
-                                   if candidates else None)):
-                for attempt, handle in enumerate(candidates):
-                    if attempt:
-                        self.metrics.inc("failovers_total")
-                    try:
-                        return await self._call_backend(handle, request,
-                                                        idem_key)
-                    except _BackendUnavailable as exc:
-                        failure = exc
-            raise failure
-        finally:
-            queue.release()
+        candidates = self._candidates(shard, key)
+        failure = _BackendUnavailable(
+            f"shard {shard}: every replica retired or ejected")
+        with obs.span("route", "cluster", key=key, shard=shard,
+                      primary=(candidates[0].backend_id
+                               if candidates else None)):
+            for attempt, handle in enumerate(candidates):
+                if attempt:
+                    self.metrics.inc("failovers_total")
+                try:
+                    return await self._call_backend(handle, request,
+                                                    idem_key, deadline)
+                except _BackendUnavailable as exc:
+                    failure = exc
+        raise failure
 
     async def _call_backend(self, handle: BackendHandle,
-                            request: AlignRequest,
-                            idem_key: str) -> Dict[str, Any]:
-        """One attempt on one backend; raises :class:`_BackendUnavailable`
-        for anything the router should absorb by moving on."""
+                            request: AlignRequest, idem_key: str,
+                            deadline: Optional[float]) -> Dict[str, Any]:
+        """One attempt on one backend, carrying the remaining budget;
+        raises :class:`_BackendUnavailable` for anything the router
+        should absorb by moving on."""
         bid = handle.backend_id
+        budget_ms: Optional[float] = None
+        if deadline is not None:
+            budget_ms = round((deadline - time.monotonic()) * 1000.0, 3)
+            if budget_ms <= 0:
+                raise QueueTimeoutShed(f"{bid}: budget spent before "
+                                       f"dispatch")
         if not handle.breaker.allow():
             self.metrics.inc(f"backend_{bid}_sheds_total")
             raise _BackendUnavailable(f"{bid}: circuit breaker open")
@@ -556,11 +418,13 @@ class ClusterGateway(NdjsonFrontEnd):
         try:
             if request.type == TYPE_ALIGN:
                 obj = await client.align(request.reads[0],
-                                         idempotency_key=idem_key)
+                                         idempotency_key=idem_key,
+                                         budget_ms=budget_ms)
             else:
                 obj = await client.align_pair(
                     request.reads[0], request.reads[1],
-                    pair_id=request.pair_id, idempotency_key=idem_key)
+                    pair_id=request.pair_id, idempotency_key=idem_key,
+                    budget_ms=budget_ms)
         except ServiceError as exc:
             if exc.code in RETRYABLE_ERRORS:
                 # The backend is shedding (busy/overloaded): a replica
@@ -569,13 +433,22 @@ class ClusterGateway(NdjsonFrontEnd):
                 # persistently-shedding backend stops being picked.
                 handle.breaker.record_failure()
                 self.metrics.inc(f"backend_{bid}_errors_total")
-                raise _BackendUnavailable(f"{bid}: {exc.code}") from exc
+                raise _BackendUnavailable(f"{bid}: {exc.code}",
+                                          exc.code) from exc
+            # Any other typed answer proves the backend alive.
+            handle.breaker.record_success()
+            self._sync_breaker_gauge(handle)
             raise
         except (ConnectionError, OSError, asyncio.TimeoutError,
                 asyncio.IncompleteReadError) as exc:
             handle.breaker.record_failure()
             self.metrics.inc(f"backend_{bid}_errors_total")
             raise _BackendUnavailable(f"{bid}: {exc}") from exc
+        except asyncio.CancelledError:
+            # The caller's deadline ran out: a timeout, like above.
+            handle.breaker.record_failure()
+            self._sync_breaker_gauge(handle)
+            raise
         handle.breaker.record_success()
         self._sync_breaker_gauge(handle)
         return {k: v for k, v in obj.items() if k not in _FRAMING_KEYS}
@@ -782,8 +655,6 @@ class ClusterGateway(NdjsonFrontEnd):
             "uptime_s": round(time.monotonic() - self._started_at, 3),
             "topology": self.topology.describe(),
             "gateway": self.metrics.snapshot(),
-            "queues": {str(shard): queue.as_dict()
-                       for shard, queue in self._queues.items()},
             "backends": backends,
             "cluster_metrics": MetricsRegistry.merge(snapshots),
         }

@@ -155,7 +155,8 @@ class ClusterSupervisor:
             mmap instead of rebuilding (sharded mode always builds its
             shard stores; this also covers replicated mode when no
             ``index_path`` was given).
-        workers / max_batch / max_wait_ms: forwarded to each backend.
+        workers / max_batch / max_wait_ms / queue_depth: forwarded to
+            each backend.
         spawn_timeout_s: per-backend deadline for the endpoint line.
         restart_policy: backoff/crash-loop knobs for the monitor loop.
     """
@@ -169,6 +170,7 @@ class ClusterSupervisor:
     workers: int = 2
     max_batch: int = 64
     max_wait_ms: float = 2.0
+    queue_depth: int = 1024
     spawn_timeout_s: float = DEFAULT_SPAWN_TIMEOUT_S
     restart_policy: RestartPolicy = field(default_factory=RestartPolicy)
     backends: List[BackendProcess] = field(default_factory=list)
@@ -259,6 +261,7 @@ class ClusterSupervisor:
                "--workers", str(self.workers),
                "--max-batch", str(self.max_batch),
                "--max-wait-ms", str(self.max_wait_ms),
+               "--queue-depth", str(self.queue_depth),
                "--stats-interval", "0"]
         if inputs["index"]:
             cmd += ["--index", str(inputs["index"])]

@@ -35,9 +35,10 @@ SIGKILLs lose nothing and the SAM stays byte-identical),
 **backend_restart_zero_loss** (the supervisor's monitor loop restarts
 every victim and the gateway's live ring reconciliation readmits it —
 no manual readmission anywhere in the harness), and
-**overload_graceful_degradation** (an open-loop burst far above
-capacity produces only successes and typed sheds, bounded queue depth,
-and in-budget p99 for admitted requests).
+**overload_graceful_degradation** (an open-loop burst, through a
+gateway, far above the capacity of a one-slot backend produces only
+successes and typed sheds, a backend queue depth within its bound, and
+in-budget p99 for admitted requests).
 
 Everything is seeded; the same invocation is the same run.  The CI
 ``chaos-smoke`` job gates on :attr:`ChaosReport.passed`.
@@ -190,10 +191,10 @@ def _sharded_phase(reference: Any, reads: Any,
 #: the gateway to readmit every killed backend (generous for CI).
 _RECOVERY_TIMEOUT_S = 45.0
 
-#: Overload sub-phase shape: a burst far above a one-slot shard's
-#: capacity, through a tiny admission queue, under a real budget.
+#: Overload sub-phase shape: a burst far above the capacity of a
+#: one-slot backend (one worker, one request per batch), through a tiny
+#: admission queue, under a real budget.
 _OVERLOAD_RATE = 600.0
-_OVERLOAD_CONCURRENCY = 1
 _OVERLOAD_QUEUE_DEPTH = 4
 _OVERLOAD_BUDGET_MS = 2000.0
 
@@ -242,8 +243,7 @@ async def _cluster_run(topology: Any, supervisor: Any, specs: Any,
                        seed: int, requests: int,
                        injector: Optional[FaultInjector]
                        ) -> Dict[str, Any]:
-    """Gateway + loadgen with plan-scheduled mid-load SIGKILLs, then an
-    open-loop overload burst against a tight admission queue.
+    """Gateway + loadgen with plan-scheduled mid-load SIGKILLs.
 
     Kill schedule: the phase crosses the ``cluster_backend`` fault site
     at each response-count checkpoint (1/3 and 2/3 of the load); a
@@ -314,33 +314,43 @@ async def _cluster_run(topology: Any, supervisor: Any, specs: Any,
     finally:
         supervisor.stop_monitor()
         await gateway.shutdown()
+    return result
 
-    # Overload sub-phase: a fresh gateway over the (healed) fleet with a
-    # one-slot shard and a tiny queue, driven open-loop far above
-    # capacity with a real per-request budget and NO client retries —
-    # every outcome must be a success or a typed shed.
-    overload_cfg = GatewayConfig(
-        host="127.0.0.1", port=0,
-        health_interval_s=0.2,
-        shard_concurrency=_OVERLOAD_CONCURRENCY,
-        queue_depth=_OVERLOAD_QUEUE_DEPTH)
-    overload_gw = ClusterGateway(supervisor.topology, config=overload_cfg)
-    await overload_gw.start()
+
+async def _overload_run(topology: Any, specs: Any) -> Dict[str, Any]:
+    """An open-loop burst far above capacity, through a gateway, against
+    one backend whose batcher is the only admission queue on the path.
+
+    The backend is warmed with one request first (engine and index
+    built), then driven with a real per-request budget and NO client
+    retries: every outcome must be a success or a typed shed.  Its
+    queue gauges are read from its own ``stats`` afterwards.
+    """
+    from repro.cluster.gateway import ClusterGateway, GatewayConfig
+    from repro.service.client import AsyncServiceClient
+    from repro.service.loadgen import LoadgenConfig, run_loadgen
+
+    backend = AsyncServiceClient(topology.backends[0].endpoint)
+    gateway = ClusterGateway(topology, config=GatewayConfig(
+        host="127.0.0.1", port=0, health_interval_s=0.2))
     try:
+        await backend.align(specs[0].reads[0])
+        await gateway.start()
         overload_lg = LoadgenConfig(concurrency=_HARNESS_MAX_BATCH,
                                     mode="open", rate=_OVERLOAD_RATE,
                                     wait_ready_s=5.0,
                                     budget_ms=_OVERLOAD_BUDGET_MS)
         overload_report = await run_loadgen(
-            overload_gw.endpoint, specs, config=overload_lg,
+            gateway.endpoint, specs, config=overload_lg,
             collect_server_stats=False)
-        result["overload_report"] = overload_report
-        result["overload_stats"] = overload_gw.metrics.snapshot()
-        result["overload_queue_depth"] = _OVERLOAD_QUEUE_DEPTH
-        result["overload_budget_ms"] = _OVERLOAD_BUDGET_MS
+        stats = await backend.stats()
     finally:
-        await overload_gw.shutdown()
-    return result
+        await gateway.shutdown()
+        await backend.close()
+    return {"overload_report": overload_report,
+            "overload_stats": stats.get("metrics", {}),
+            "overload_queue_depth": _OVERLOAD_QUEUE_DEPTH,
+            "overload_budget_ms": _OVERLOAD_BUDGET_MS}
 
 
 def _cluster_phase(reference: Any, specs: Any, seed: int, requests: int,
@@ -372,10 +382,24 @@ def _cluster_phase(reference: Any, specs: Any, seed: int, requests: int,
                                          backoff_max_s=1.0))
         try:
             topology = supervisor.start()
-            return asyncio.run(_cluster_run(topology, supervisor, specs,
-                                            seed, requests, injector))
+            result = asyncio.run(_cluster_run(topology, supervisor, specs,
+                                              seed, requests, injector))
         finally:
             supervisor.stop(graceful=True)
+        # The overload burst gets a one-slot backend process of its own
+        # (one worker, one request per batch, a tiny queue): in the
+        # harness's process its worker would hold the GIL and slow the
+        # burst to the backend's own pace.
+        one_slot = ClusterSupervisor(
+            reference_path=ref_path, workdir=os.path.join(tmp, "overload"),
+            shards=1, replicas=1, workers=1, max_batch=1,
+            queue_depth=_OVERLOAD_QUEUE_DEPTH)
+        try:
+            result.update(asyncio.run(_overload_run(one_slot.start(),
+                                                    specs)))
+        finally:
+            one_slot.stop(graceful=True)
+    return result
 
 
 def _cache_phase(injector: Optional[FaultInjector]
@@ -630,17 +654,16 @@ def run_chaos(plan_name: str = "ci-default", seed: int = 7,
                 "backend_restart_zero_loss", restart_ok,
                 "; ".join(d for d in restart_details if d)))
 
-        # Graceful degradation under open-loop overload: every outcome
-        # is a success or a *typed* shed, the admission queue never
-        # exceeds its configured bound, and admitted requests finish
-        # within the client budget (plus scheduling slack).
+        # Graceful degradation under open-loop overload: the burst does
+        # overload the backend, every outcome is a success or a *typed*
+        # shed, the backend's admission queue never exceeds its
+        # configured bound, and admitted requests finish within the
+        # client budget (plus scheduling slack).
         overload = cluster["overload_report"]
         ov_gauges = cluster["overload_stats"].get("gauges", {})
         depth_bound = cluster["overload_queue_depth"]
         budget_ms = cluster["overload_budget_ms"]
-        peak_depth = max(
-            (v for k, v in ov_gauges.items()
-             if k.endswith("_queue_depth_peak")), default=0)
+        peak_depth = ov_gauges.get("queue_depth_peak")
         untyped = sorted(code for code in overload.errors
                          if code not in SHED_ERRORS)
         p99_ms = overload.p99_ms if overload.completed else 0.0
@@ -659,16 +682,23 @@ def run_chaos(plan_name: str = "ci-default", seed: int = 7,
         if overload.dropped != 0:
             ov_details.append(f"{overload.dropped} request(s) vanished "
                               f"without any response")
+        if overload.shed == 0:
+            ov_details.append("the burst never overloaded the backend "
+                              "queue (nothing was shed)")
         if untyped:
             ov_details.append(f"untyped error codes under overload: "
                               f"{untyped}")
-        if peak_depth > depth_bound:
+        if peak_depth is None:
+            ov_details.append("backend reported no queue_depth_peak")
+        elif peak_depth > depth_bound:
             ov_details.append(f"queue depth peaked at {peak_depth} "
                               f"(bound {depth_bound})")
         if p99_ms > p99_budget_ms:
             ov_details.append(f"p99 {p99_ms:.0f} ms exceeds budget "
                               f"{budget_ms:.0f} ms (+250 ms slack)")
-        overload_ok = (overload.dropped == 0 and not untyped
+        overload_ok = (overload.dropped == 0 and overload.shed > 0
+                       and not untyped
+                       and peak_depth is not None
                        and peak_depth <= depth_bound
                        and p99_ms <= p99_budget_ms)
         report.invariants.append(Invariant(

@@ -20,7 +20,7 @@ baseline ratchet:
 
 Entry points:
 
-- CLI: ``repro lint [paths] [--no-flow] [--jobs N] [--format
+- CLI: ``repro lint [paths] [--no-flow] [--format
   text|json|github] [--baseline FILE]``
 - API: :func:`~repro.lint.runner.run_analysis` (both layers), or
   :class:`~repro.lint.core.Analyzer` +

@@ -5,9 +5,7 @@ or parse errors, 2 usage errors. Stale baseline entries are reported
 but do not fail the run — they mean the tree got *better*.
 
 The whole-program flow pass (``repro.lint.flow``) is on by default;
-``--no-flow`` restricts the run to per-file rules. ``--jobs N`` fans
-the per-file pass out over N worker processes with deterministic,
-serial-identical output.
+``--no-flow`` restricts the run to per-file rules.
 """
 
 from __future__ import annotations
@@ -51,9 +49,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                              "(ASY3xx/RES4xx/PROTO5xx; default on)")
     parser.add_argument("--no-flow", dest="flow", action="store_false",
                         help="per-file rules only")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="analyze files with N worker processes "
-                             "(default: 1)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
     parser.add_argument("--statistics", action="store_true",
@@ -79,9 +74,6 @@ def _list_rules() -> int:
 def run_lint(args: argparse.Namespace) -> int:
     if args.list_rules:
         return _list_rules()
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
     config = LintConfig.load()
     select = None
     if args.select:
@@ -95,7 +87,7 @@ def run_lint(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
     report = run_analysis(args.paths, config, select=select,
-                          flow=args.flow, jobs=args.jobs)
+                          flow=args.flow)
     findings = report.sorted_findings()
 
     if args.write_baseline:

@@ -1,16 +1,11 @@
-"""Multi-file analysis driver: parallel per-file pass + flow pass.
+"""Multi-file analysis driver: per-file pass + flow pass.
 
 ``repro lint`` funnels through :func:`run_analysis`:
 
-1. the per-file rules run over every file — serially, or with
-   ``jobs > 1`` on a multiprocessing pool (each worker builds one
-   :class:`Analyzer` in its initializer and streams back picklable
-   findings/suppressions; results are merged in file order, so the
-   output is byte-identical to a serial run);
+1. the per-file rules run over every file, in file order;
 2. with ``flow=True`` the whole-program pass parses every analyzed
-   module into a :class:`~repro.lint.flow.ProjectModel` in the parent
-   process (rule time is dominated by graph traversal, not parsing, so
-   this stays serial) and appends the flow findings;
+   module into a :class:`~repro.lint.flow.ProjectModel` and appends the
+   flow findings;
 3. one :func:`~repro.lint.core.finalize_report` applies inline
    suppressions to the combined findings — a ``disable=PROTO501``
    comment works exactly like a per-file one — and flags unused
@@ -19,9 +14,8 @@
 
 from __future__ import annotations
 
-import multiprocessing
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.lint.core import (
     Analyzer,
@@ -41,13 +35,6 @@ __all__ = ["run_analysis"]
 _ScanResult = Tuple[str, List[Finding], List[Suppression], Set[str],
                     Optional[str], bool]
 
-_WORKER_ANALYZER: Optional[Analyzer] = None
-
-
-def _init_worker(config, select: Optional[List[str]]) -> None:
-    global _WORKER_ANALYZER
-    _WORKER_ANALYZER = Analyzer(config, select=select)
-
 
 def _scan_with(analyzer: Analyzer, rel: str,
                file_path: Path) -> _ScanResult:
@@ -64,40 +51,16 @@ def _scan_with(analyzer: Analyzer, rel: str,
             error, report.files_checked > 0)
 
 
-def _scan_in_worker(item: Tuple[str, str]) -> _ScanResult:
-    rel, path_str = item
-    assert _WORKER_ANALYZER is not None
-    return _scan_with(_WORKER_ANALYZER, rel, Path(path_str))
-
-
-def _pool_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn")
-
-
 def run_analysis(paths: Sequence[str], config,
                  select: Optional[List[str]] = None,
-                 flow: bool = True,
-                 jobs: int = 1) -> AnalysisReport:
+                 flow: bool = True) -> AnalysisReport:
     """Analyze files/directories with per-file and (optionally) flow
     rules; returns a finalized, sorted :class:`AnalysisReport`."""
     analyzer = Analyzer(config, select=select)
     entries = [(config.project_relative(fp), fp)
                for fp in iter_python_files(paths)]
     report = AnalysisReport()
-    results: Iterable[_ScanResult]
-    if jobs > 1 and len(entries) > 1:
-        ctx = _pool_context()
-        with ctx.Pool(processes=min(jobs, len(entries)),
-                      initializer=_init_worker,
-                      initargs=(config, select)) as pool:
-            results = pool.map(
-                _scan_in_worker,
-                [(rel, str(fp)) for rel, fp in entries],
-                chunksize=max(1, len(entries) // (jobs * 4)))
-    else:
-        results = [_scan_with(analyzer, rel, fp) for rel, fp in entries]
+    results = [_scan_with(analyzer, rel, fp) for rel, fp in entries]
 
     sources: List[ModuleSource] = []
     flow_paths: List[str] = []

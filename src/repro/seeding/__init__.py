@@ -1,4 +1,4 @@
-"""Seeding-phase substrate: BWT, FM-index, SMEMs, hash index, chaining."""
+"""Seeding-phase substrate: BWT, FM-index, SMEMs, minimizers, chaining."""
 
 from repro.seeding.bwt import (
     SENTINEL,
@@ -11,7 +11,6 @@ from repro.seeding.bwt import (
 from repro.seeding.fmindex import AccessStats, FMIndex, SAInterval
 from repro.seeding.bidirectional import BidirectionalFMIndex, BiInterval
 from repro.seeding.smem import SMEM, find_smems, smems_covering
-from repro.seeding.hashindex import HashAccessStats, KmerHashIndex
 from repro.seeding.minimizers import (
     Minimizer,
     MinimizerHit,
@@ -54,8 +53,6 @@ __all__ = [
     "SMEM",
     "find_smems",
     "smems_covering",
-    "HashAccessStats",
-    "KmerHashIndex",
     "Minimizer",
     "MinimizerHit",
     "MinimizerIndex",

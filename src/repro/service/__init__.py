@@ -11,9 +11,11 @@ request/response world:
   ``stats``, ``ping``).
 - :mod:`repro.service.batcher` — :class:`~repro.service.batcher.
   DynamicBatcher`: max-batch / max-wait coalescing with greedy queue
-  drain, plus bounded-queue admission control
+  drain, plus bounded, deadline-aware admission control — the one
+  admission queue on a request's path, gateway or not
   (:class:`~repro.service.batcher.ServiceOverloadedError` → the
-  ``overloaded`` response).
+  ``overloaded`` response, :class:`~repro.service.batcher.
+  QueueTimeoutShed` → ``queue_timeout`` when ``budget_ms`` runs out).
 - :mod:`repro.service.engine` — :class:`~repro.service.engine.
   AlignmentEngine` executes mixed batches through the existing
   ``align.pipeline`` + ``runtime.batch`` vectorized kernels; responses
@@ -34,6 +36,7 @@ request/response world:
 from repro.service.batcher import (
     BatcherStats,
     DynamicBatcher,
+    QueueTimeoutShed,
     ServiceClosedError,
     ServiceOverloadedError,
 )
@@ -79,6 +82,7 @@ __all__ = [
     "LoadgenReport",
     "MetricsRegistry",
     "ProtocolError",
+    "QueueTimeoutShed",
     "RequestSpec",
     "ServerConfig",
     "ServiceClosedError",

@@ -18,12 +18,22 @@ queued joins the batch with no waiting at all, so under load batches run
 full (occupancy → max_batch) and under light load latency stays within
 one max_wait of the kernel time.
 
-Admission control is a bounded queue: :meth:`DynamicBatcher.submit`
-raises :class:`ServiceOverloadedError` once ``queue_depth`` requests are
-waiting, which reaches the client as an ``overloaded`` response (the moral
-HTTP 429) instead of letting latency grow without bound. A closed
-batcher keeps handing out queued work until empty — that is the graceful
-drain path — but admits nothing new.
+Admission control is a bounded, deadline-aware queue — the only
+admission point on a request's path, gateway or not:
+
+- :meth:`DynamicBatcher.submit` raises :class:`ServiceOverloadedError`
+  once ``queue_depth`` requests are waiting, which reaches the client as
+  an ``overloaded`` response (the moral HTTP 429) instead of letting
+  latency grow without bound;
+- an item may carry an absolute ``deadline`` (its ``budget_ms`` turned
+  into a clock reading).  A deadline already past at ``submit`` raises
+  :class:`QueueTimeoutShed` (wire ``queue_timeout``); one that passes
+  while the item waits fails it with the same error at that moment; one
+  found past at dequeue drops the item before it joins a batch.  Either
+  way the item never executes and frees its slot.
+
+A closed batcher keeps handing out queued work until empty — that is the
+graceful drain path — but admits nothing new.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from repro import obs
 from repro.service.metrics import MetricsRegistry
 from repro.service.protocol import (
     ERR_OVERLOADED,
+    ERR_QUEUE_TIMEOUT,
     ERR_SHUTTING_DOWN,
     ServiceError,
 )
@@ -57,6 +68,17 @@ class ServiceOverloadedError(ServiceError):
         super().__init__(ERR_OVERLOADED, message)
 
 
+class QueueTimeoutShed(ServiceError):
+    """The request's budget expired before it was dispatched.
+
+    It never executed, but its budget is spent — distinct from
+    ``overloaded`` so clients know a retry is pointless.
+    """
+
+    def __init__(self, message: str):
+        super().__init__(ERR_QUEUE_TIMEOUT, message)
+
+
 class ServiceClosedError(ServiceError):
     """The batcher is draining or closed; no new work is admitted."""
 
@@ -64,12 +86,15 @@ class ServiceClosedError(ServiceError):
         super().__init__(ERR_SHUTTING_DOWN, message)
 
 
-@dataclass
+@dataclass(eq=False)
 class WorkItem:
     """One queued request with its completion future and queue timestamps.
 
     ``span_id`` carries the submitter's request-span id (0 when tracing
     is off) so batch spans can reference every member request.
+    ``deadline`` is the batcher-clock reading past which the item is
+    shed instead of dispatched (None: no budget); ``timer`` fires the
+    shed while the item is still queued.
     """
 
     request: Any
@@ -77,6 +102,8 @@ class WorkItem:
     enqueued_at: float
     dequeued_at: float = 0.0
     span_id: int = 0
+    deadline: Optional[float] = None
+    timer: Optional[asyncio.TimerHandle] = None
 
     @property
     def abandoned(self) -> bool:
@@ -90,6 +117,7 @@ class BatcherStats:
 
     submitted: int = 0
     rejected: int = 0
+    expired: int = 0
     dispatched_batches: int = 0
     dispatched_items: int = 0
     abandoned_items: int = 0
@@ -98,6 +126,7 @@ class BatcherStats:
         return {
             "submitted": self.submitted,
             "rejected": self.rejected,
+            "expired": self.expired,
             "dispatched_batches": self.dispatched_batches,
             "dispatched_items": self.dispatched_items,
             "abandoned_items": self.abandoned_items,
@@ -113,8 +142,12 @@ class DynamicBatcher:
             more arrivals (measured from the first dequeue).
         queue_depth: admission bound on waiting requests.
         metrics: optional registry; the batcher keeps ``queue_depth``
-            (gauge) and ``batch_size`` (histogram) current.
-        clock: injectable monotonic clock (tests).
+            and ``queue_depth_peak`` (gauges) and ``batch_size``
+            (histogram) current, and counts ``rejected_total``
+            (``overloaded``), ``shed_queue_timeout_total`` and
+            ``abandoned_total``.
+        clock: injectable monotonic clock (tests); submit deadlines are
+            readings of it.
     """
 
     def __init__(self, max_batch: int = DEFAULT_MAX_BATCH,
@@ -153,16 +186,25 @@ class DynamicBatcher:
     def closed(self) -> bool:
         return self._closed
 
-    def submit(self, request: Any,
-               span_id: int = 0) -> "asyncio.Future[Any]":
+    def submit(self, request: Any, span_id: int = 0,
+               deadline: Optional[float] = None) -> "asyncio.Future[Any]":
         """Admit one request; returns the future its result resolves.
+
+        ``deadline`` (a reading of the batcher's clock) bounds the
+        request's wait: the future fails with :class:`QueueTimeoutShed`
+        if it is still queued when the deadline passes.
 
         Raises:
             ServiceClosedError: the batcher is draining/closed.
+            QueueTimeoutShed: ``deadline`` has already passed.
             ServiceOverloadedError: ``queue_depth`` requests already wait.
         """
         if self._closed:
             raise ServiceClosedError("batcher is closed to new work")
+        now = self._clock()
+        if deadline is not None and now >= deadline:
+            self._count_expired()
+            raise QueueTimeoutShed("budget spent before admission")
         if len(self._queue) >= self.queue_depth:
             self.stats.rejected += 1
             if self.metrics is not None:
@@ -170,15 +212,18 @@ class DynamicBatcher:
             obs.instant("request_rejected", "service")
             raise ServiceOverloadedError(
                 f"queue at capacity ({self.queue_depth} waiting)")
-        future: "asyncio.Future[Any]" = \
-            asyncio.get_running_loop().create_future()
-        self._queue.append(WorkItem(request=request, future=future,
-                                    enqueued_at=self._clock(),
-                                    span_id=span_id))
+        loop = asyncio.get_running_loop()
+        item = WorkItem(request=request, future=loop.create_future(),
+                        enqueued_at=now, span_id=span_id,
+                        deadline=deadline)
+        if deadline is not None:
+            item.timer = loop.call_later(deadline - now, self._expire,
+                                         item)
+        self._queue.append(item)
         self.stats.submitted += 1
         self._note_depth()
         self._arrival.set()
-        return future
+        return item.future
 
     def close(self) -> None:
         """Stop admitting; wake consumers so they can drain and exit."""
@@ -194,6 +239,8 @@ class DynamicBatcher:
         failed = 0
         while self._queue:
             item = self._queue.popleft()
+            if item.timer is not None:
+                item.timer.cancel()
             if item.future.done():
                 continue
             item.future.set_exception(exc_factory())
@@ -260,20 +307,54 @@ class DynamicBatcher:
             await self._arrival.wait()
 
     def _pop_live(self) -> Optional[WorkItem]:
-        """Pop the oldest queued item, discarding abandoned ones."""
+        """Pop the oldest queued item, discarding abandoned and expired
+        ones."""
         while self._queue:
             item = self._queue.popleft()
-            if item.abandoned:
-                self.stats.abandoned_items += 1
-                if self.metrics is not None:
-                    self.metrics.inc("abandoned_total")
-                self._note_depth()
-                obs.instant("request_abandoned", "service")
+            if item.timer is not None:
+                item.timer.cancel()
+            now = self._clock()
+            if item.abandoned or (item.deadline is not None
+                                  and now >= item.deadline):
+                self._discard(item)
                 continue
-            item.dequeued_at = self._clock()
+            item.dequeued_at = now
             return item
         return None
 
-    def _note_depth(self) -> None:
+    def _expire(self, item: WorkItem) -> None:
+        """Deadline timer: shed ``item`` if it is still queued."""
+        try:
+            self._queue.remove(item)
+        except ValueError:
+            return  # already dequeued
+        self._discard(item)
+
+    def _discard(self, item: WorkItem) -> None:
+        """Account for a queued item that will never join a batch."""
+        if item.abandoned:
+            self.stats.abandoned_items += 1
+            if self.metrics is not None:
+                self.metrics.inc("abandoned_total")
+            obs.instant("request_abandoned", "service")
+        else:
+            self._count_expired()
+            item.future.set_exception(QueueTimeoutShed(
+                f"budget spent after "
+                f"{self._clock() - item.enqueued_at:.3f}s in queue"))
+        self._note_depth()
+
+    def _count_expired(self) -> None:
+        self.stats.expired += 1
         if self.metrics is not None:
-            self.metrics.set_gauge("queue_depth", len(self._queue))
+            self.metrics.inc("shed_queue_timeout_total")
+        obs.instant("request_expired", "service")
+
+    def _note_depth(self) -> None:
+        if self.metrics is None:
+            return
+        depth = len(self._queue)
+        self.metrics.set_gauge("queue_depth", depth)
+        peak = self.metrics.gauge("queue_depth_peak")
+        if depth > peak.value:
+            peak.set(depth)

@@ -38,11 +38,13 @@ JSON or fields), ``internal`` (execution failed after retries),
 ``shutting_down`` (server is draining).
 
 Align requests may carry an optional ``budget_ms`` field: a client-side
-latency budget in milliseconds.  A budget-aware server (the cluster
-gateway) sheds the request with ``queue_timeout`` if the budget expires
-before the request is dispatched, and caps execution at the remaining
-budget, so a client never waits much past its own deadline for an answer
-that is already useless.
+latency budget in milliseconds, a positive finite number.  Both front
+ends honour it.  A single server sheds the request with
+``queue_timeout`` if the budget expires before the request leaves its
+admission queue, and caps execution at the remaining budget, so a
+client never waits much past its own deadline for an answer that is
+already useless.  The cluster gateway forwards the remaining budget to
+the backend on every attempt and passes its ``queue_timeout`` through.
 
 Align requests may carry an optional ``idem`` field (a client-chosen
 idempotency key). A retried request with the same key is answered from
@@ -57,6 +59,7 @@ offline path writes, so service output is bit-identical to
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -181,9 +184,13 @@ def decode_request(line: str) -> AlignRequest:
         raise ProtocolError("idem must be a non-empty string")
     budget_ms = obj.get("budget_ms")
     if budget_ms is not None:
+        # json.loads accepts NaN, Infinity, 1e400 (inf) and integers
+        # too big for a float: the chained comparison refuses them all.
         if isinstance(budget_ms, bool) or \
-                not isinstance(budget_ms, (int, float)) or budget_ms <= 0:
-            raise ProtocolError("budget_ms must be a positive number")
+                not isinstance(budget_ms, (int, float)) or \
+                not 0 < budget_ms <= sys.float_info.max:
+            raise ProtocolError("budget_ms must be a positive finite "
+                                "number")
         budget_ms = float(budget_ms)
     if rtype == TYPE_ALIGN:
         return AlignRequest(request_id=request_id, type=rtype,

@@ -23,6 +23,10 @@ Robustness contract (pinned by tests):
 
 - **Admission control**: a full queue rejects with ``overloaded``
   instead of queueing unboundedly.
+- **Latency budgets**: a request's ``budget_ms`` becomes its batcher
+  deadline — spent before admission or while queued, the request is
+  shed with ``queue_timeout`` and never executes — and caps the wait
+  for its answer at the budget plus a small grace.
 - **Per-request timeout**: a request that misses its deadline gets a
   ``timeout`` response; if it is still queued it is abandoned so the
   batcher never spends kernel time on it.
@@ -267,10 +271,13 @@ class AlignmentServer(NdjsonFrontEnd):
                 ERR_BUSY, "degraded mode: worker crash rate tripped the "
                 "circuit breaker; back off and retry")
         assert self._batcher is not None
-        # Raises ServiceOverloadedError / ServiceClosedError, and the
-        # future may resolve to EngineError: all typed ServiceErrors.
-        future = self._batcher.submit(request, span_id=span.span_id)
-        return asyncio.wait_for(future, self.config.request_timeout_s or None)
+        deadline, timeout = self._deadline(request.budget_ms)
+        # Raises ServiceOverloadedError / QueueTimeoutShed /
+        # ServiceClosedError, and the future may resolve to
+        # QueueTimeoutShed or EngineError: all typed ServiceErrors.
+        future = self._batcher.submit(request, span_id=span.span_id,
+                                      deadline=deadline)
+        return asyncio.wait_for(future, timeout)
 
     async def _drop_connection(self, conn: Connection,
                                data: bytes) -> bool:

@@ -24,7 +24,11 @@ align request is executed:
   once a drain began, every admitted request's response is a tracked
   task that shutdown drains, and every failure reaches the wire as its
   :class:`~repro.service.protocol.ServiceError` code (a deadline miss as
-  ``timeout``, anything unexpected as ``internal``).
+  ``timeout``, anything unexpected as ``internal``);
+- the latency budget: :meth:`NdjsonFrontEnd._deadline` turns a request's
+  ``budget_ms`` into the instant its budget runs out and caps the wait
+  for its answer a little past it, so a typed ``queue_timeout`` shed
+  wins the race against the blunt ``timeout``.
 
 A front end supplies only :meth:`NdjsonFrontEnd._admit` — the server
 submits to its batcher, the gateway routes to a backend — and
@@ -39,7 +43,7 @@ import itertools
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Dict, Optional, Set
+from typing import Any, Awaitable, Callable, Dict, Optional, Set, Tuple
 
 from repro import obs
 from repro.faults.injectors import IdempotencyCache
@@ -62,6 +66,10 @@ from repro.service.protocol import (
 )
 
 logger = logging.getLogger("repro.service")
+
+#: Slack past a request's budget before the front end's blunt timeout
+#: fires, so deadline sheds surface as typed ``queue_timeout`` responses.
+BUDGET_GRACE_S = 0.05
 
 
 @dataclass
@@ -120,6 +128,23 @@ class NdjsonFrontEnd:
     def stats_payload(self) -> Any:
         """The ``stats`` response body (a dict, or an awaitable of one)."""
         raise NotImplementedError
+
+    def _deadline(self, budget_ms: Optional[float]
+                  ) -> Tuple[Optional[float], Optional[float]]:
+        """``(deadline, timeout)`` for a request carrying ``budget_ms``.
+
+        ``deadline`` is the ``time.monotonic()`` reading at which the
+        budget runs out (None without a budget); ``timeout`` bounds the
+        wait for the answer: ``request_timeout_s`` (None when 0), capped
+        at the budget plus :data:`BUDGET_GRACE_S`.
+        """
+        timeout = self.config.request_timeout_s or None
+        if not budget_ms:
+            return None, timeout
+        budget_s = budget_ms / 1000.0
+        capped = budget_s + BUDGET_GRACE_S
+        return (time.monotonic() + budget_s,
+                capped if timeout is None else min(timeout, capped))
 
     # ------------------------------------------------------------------ #
     # Listener lifecycle

@@ -107,17 +107,6 @@ def test_github_format_emits_error_annotations(project, capsys):
     assert "title=DET101 unseeded-rng" in out
 
 
-def test_jobs_matches_serial_output(project, capsys):
-    assert main(["lint", "src"]) == 1
-    serial = capsys.readouterr().out
-    assert main(["lint", "--jobs", "2", "src"]) == 1
-    assert capsys.readouterr().out == serial
-
-
-def test_jobs_zero_is_usage_error(project):
-    assert main(["lint", "--jobs", "0", "src"]) == 2
-
-
 def test_flow_findings_through_cli(project, capsys):
     """--flow (the default) surfaces whole-program findings; --no-flow
     restricts the run to per-file rules."""

@@ -226,3 +226,41 @@ def test_occupancy_under_load_reaches_max_batch():
             sizes.append(len(await batcher.next_batch()))
         assert sizes == [16, 16, 16, 16]
     run(scenario())
+
+
+def test_items_without_a_budget_are_unaffected_by_deadlines():
+    """Budgetless items never expire, however far the clock runs, and
+    share batches with budgeted ones as before."""
+    async def scenario():
+        now = [0.0]
+        batcher = DynamicBatcher(max_batch=8, max_wait_s=0.0,
+                                 clock=lambda: now[0])
+        plain = [batcher.submit(f"plain{i}") for i in range(3)]
+        budgeted = batcher.submit("budgeted", deadline=1.0)
+        now[0] = 1e9
+        batch = await batcher.next_batch()
+        assert [item.request for item in batch] == [
+            "plain0", "plain1", "plain2"]
+        assert all(not f.done() for f in plain)
+        assert budgeted.done() and batcher.stats.expired == 1
+    run(scenario())
+
+
+def test_queue_depth_peak_never_exceeds_queue_depth():
+    async def scenario():
+        metrics = MetricsRegistry()
+        batcher = DynamicBatcher(max_batch=2, max_wait_s=0.0,
+                                 queue_depth=3, metrics=metrics)
+        rejected = 0
+        for round_ in range(4):
+            for i in range(5):
+                try:
+                    batcher.submit((round_, i))
+                except ServiceOverloadedError:
+                    rejected += 1
+                peak = metrics.gauge("queue_depth_peak").value
+                assert peak <= batcher.queue_depth
+            await batcher.next_batch()
+        assert metrics.gauge("queue_depth_peak").value == 3
+        assert rejected == batcher.stats.rejected > 0
+    run(scenario())

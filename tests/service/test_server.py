@@ -85,6 +85,31 @@ def test_request_timeout(service_reference, service_reads):
     run(scenario())
 
 
+def test_budget_spent_in_queue_sheds_queue_timeout(service_reference,
+                                                   service_reads):
+    """A direct client's ``budget_ms`` is honoured by the server: spent
+    while queued behind a slow batch, the request is shed with the
+    typed ``queue_timeout`` and never executes."""
+    async def scenario():
+        factory = (lambda: SlowEngine(AlignmentEngine(service_reference),
+                                      delay_s=0.5))
+        async with serving(service_reference, engine_factory=factory,
+                           workers=1, max_batch=1) as (server, client):
+            holder = asyncio.ensure_future(client.align(service_reads[0]))
+            await asyncio.sleep(0.05)
+            started = time.monotonic()
+            with pytest.raises(ServiceError) as excinfo:
+                await client.align(service_reads[1], budget_ms=50.0)
+            assert excinfo.value.code == "queue_timeout"
+            assert time.monotonic() - started < 0.4  # shed at the deadline
+            assert "sam" in await holder
+            snap = server.metrics.snapshot()["counters"]
+            assert snap["shed_queue_timeout_total"] == 1
+            assert snap.get("timeouts_total", 0) == 0
+            assert server._batcher.stats.dispatched_items == 1
+    run(scenario())
+
+
 def test_worker_crash_replays_batch(service_reference, service_reads):
     """A crashing engine is discarded and the batch replayed on a fresh
     one — no accepted request is lost (acceptance criterion)."""

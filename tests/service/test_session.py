@@ -53,6 +53,20 @@ def test_protocol_hygiene(kind, service_reference, service_reads):
                                                "pong": True}
             assert front.metrics.counter("requests_total").value == 2
 
+            # json.loads parses NaN, Infinity and 1e400 (inf): each is a
+            # bad_request, and the connection still answers ping.
+            for idx, value in enumerate(("NaN", "Infinity", "1e400")):
+                line = (encode_align(f"nf{idx}", service_reads[0])[:-1]
+                        + f',"budget_ms":{value}}}\n')
+                writer.write(line.encode()
+                             + encode_control(f"p{idx + 2}", "ping")
+                             .encode() + b"\n")
+                bad = await read_json(reader)
+                assert bad["ok"] is False and bad["error"] == "bad_request"
+                assert "budget_ms" in bad["message"]
+                assert await read_json(reader) == {
+                    "id": f"p{idx + 2}", "ok": True, "pong": True}
+
             # An idempotent replay is byte-identical to the original.
             line = encode_align("a1", service_reads[0],
                                 idempotency_key="idem-1").encode() + b"\n"
