@@ -32,8 +32,8 @@ gates on the resilience invariants (see docs/RESILIENCE.md); ``serve
 ``cluster`` fronts a spawned backend fleet with the gateway and — by
 default — arms the self-healing control plane: a supervisor monitor
 loop restarts dead backends with exponential backoff (crash-loopers are
-permanently ejected) and the gateway readmits them live; per-shard
-admission queues shed expired waits as typed ``queue_timeout`` errors
+permanently ejected) and the gateway readmits them live; each backend's
+admission queue sheds expired waits as typed ``queue_timeout`` errors
 (``loadgen --budget-ms`` exercises them from the client side).
 
 ``index build`` serializes the FM-index + reference into the versioned,
@@ -680,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster",
                        help="run a gateway + backend fleet (scatter/"
-                            "gather, failover, health-checked membership)")
+                            "gather, failover, per-backend breakers)")
     p.add_argument("--reference", required=True, help="FASTA to serve")
     p.add_argument("--index",
                    help="prebuilt full-reference index store; backends "
@@ -702,8 +702,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-wait-ms", type=float, default=2.0,
                    help="per-backend batch formation wait")
     p.add_argument("--health-interval", type=float, default=0.5,
-                   help="seconds between backend health pings "
-                        "(0 disables eject/readmit)")
+                   help="seconds between backend health pings; a "
+                        "missed ping counts against the backend's "
+                        "circuit breaker (0 disables the pings)")
     p.add_argument("--request-timeout-ms", type=float, default=30_000.0,
                    help="gateway per-request deadline (0 disables)")
     p.add_argument("--default-budget-ms", type=float, default=0.0,
@@ -754,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "off on busy/overloaded, idempotency-key dedup)")
     p.add_argument("--budget-ms", type=float, default=None,
                    help="per-request deadline budget carried on the "
-                        "wire; gateways shed expired queue waits with "
+                        "wire; backends shed expired queue waits with "
                         "'queue_timeout' instead of 'busy'")
     p.add_argument("--max-p99-ms", type=float,
                    help="exit nonzero if p99 latency exceeds this")

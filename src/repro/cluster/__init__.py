@@ -5,16 +5,18 @@ serving stack; this package scales it out the same way NvWa's scheduler
 scales out its units — by putting a scheduler in front of a pool and
 keeping every member busy.  The pieces:
 
-- :mod:`~repro.cluster.ring` — consistent hashing (stable routing,
-  minimal remap on membership change);
+- :mod:`~repro.cluster.ring` — consistent hashing, fixed at
+  construction (stable routing; skipping an unroutable member remaps
+  only its keys);
 - :mod:`~repro.cluster.topology` — shards × replicas, deterministic
   chromosome → shard assignment;
 - :mod:`~repro.cluster.merge` — deterministic scatter/gather merge of
   per-shard align responses;
 - :mod:`~repro.cluster.gateway` — the NDJSON front door: routing,
-  failover, health-checked membership, per-backend breakers, latency
-  budgets forwarded to the backends' admission queues, idempotency
-  dedup, live ring reconciliation of restarted replicas;
+  failover, one circuit breaker per backend as its only routability
+  signal (fed by requests and health pings), latency budgets forwarded
+  to the backends' admission queues, idempotency dedup, live
+  reconciliation of restarted replicas;
 - :mod:`~repro.cluster.supervisor` — backend fleet as real processes
   (spawn on ephemeral ports, atomic state file, SIGTERM drain, SIGKILL
   for chaos, and a self-healing monitor loop: restart with exponential

@@ -4,8 +4,8 @@ Wiring (one process, one event loop)::
 
     clients ──decode──▶ route ──────────────▶ BackendHandle(s)
        ▲                 │  replicated: one     (AsyncServiceClient
-       │                 │  replica via the      + CircuitBreaker +
-       │                 │  hash ring, with      health state)
+       │                 │  replica via the      + CircuitBreaker)
+       │                 │  hash ring, with
        │                 │  failover
        │                 │  sharded: scatter to
        │                 ▼  every shard group
@@ -23,23 +23,22 @@ group and merge under :func:`repro.cluster.merge.merge_align_payloads`.
 Resilience is composed from :mod:`repro.faults`, one layer per failure
 mode:
 
-- a per-backend :class:`~repro.faults.breaker.CircuitBreaker` stops
-  routing onto a backend that keeps failing (fast local decision);
-- the health loop pings every backend and **ejects** one after
-  ``health_failures`` consecutive misses (it leaves the hash ring, so
-  new keys remap away) and **readmits** it after ``health_successes``
-  consecutive answers;
+- a per-backend :class:`~repro.faults.breaker.CircuitBreaker` is the
+  one routability signal: failed requests *and* missed health pings
+  open it, and an open breaker is skipped; after the cooldown, a
+  request or a pong is the half-open probe that closes it again;
 - connection errors and retryable sheds fail over to the next replica
   in the ring's deterministic preference order — each request is on
   exactly one backend at a time, so no backend repeats another's work;
+  the rings themselves never change;
 - **no admission queue of its own**: each backend's batcher is the one
   bounded, deadline-aware queue on a request's path; every backend
   attempt carries what is left of the budget (the request's, else
   ``default_budget_ms``), and a full cluster answers ``overloaded``;
-- **live ring reconciliation**: when the supervisor restarts a dead
-  replica it announces the fresh endpoint via
-  :meth:`ClusterGateway.notify_endpoint`; the gateway re-probes it and
-  readmits it to the ring with a clean breaker — no operator, no
+- **live reconciliation**: when the supervisor restarts a dead replica
+  its listener (:meth:`ClusterGateway.supervisor_listener`) hands the
+  fresh endpoint to :meth:`ClusterGateway.reconcile_backend`, which
+  probes it and adopts it with a clean breaker — no operator, no
   manual readmit — and a crash-looping replica the supervisor gave up
   on is **retired** permanently (alert metric, never routed again);
 - the session layer's idempotency cache dedups client retries
@@ -62,13 +61,14 @@ import logging
 import time
 import uuid
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Awaitable, Callable, Dict, List, Optional
 
 from repro import obs
 from repro.cluster.merge import merge_align_payloads
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.cluster.topology import ClusterTopology
-from repro.faults.breaker import STATE_CODES, CircuitBreaker
+from repro.faults.breaker import CLOSED, OPEN, STATE_CODES, CircuitBreaker
 from repro.service.batcher import QueueTimeoutShed
 from repro.service.client import AsyncServiceClient
 from repro.service.metrics import MetricsRegistry
@@ -106,9 +106,7 @@ class GatewayConfig:
     connect_timeout_s: float = 10.0
     request_timeout_s: float = 30.0  # 0 disables
     health_interval_s: float = 0.5   # 0 disables the health loop
-    health_timeout_s: float = 2.0    # per-ping deadline
-    health_failures: int = 3         # consecutive misses → eject
-    health_successes: int = 2        # consecutive answers → readmit
+    health_timeout_s: float = 1.0    # per-ping deadline
     breaker_threshold: int = 5
     breaker_window_s: float = 10.0
     breaker_cooldown_s: float = 1.0
@@ -120,12 +118,6 @@ class GatewayConfig:
         if self.default_budget_ms < 0:
             raise ValueError(f"default_budget_ms must be >= 0, "
                              f"got {self.default_budget_ms}")
-        if self.health_failures < 1:
-            raise ValueError(
-                f"health_failures must be >= 1, got {self.health_failures}")
-        if self.health_successes < 1:
-            raise ValueError(f"health_successes must be >= 1, "
-                             f"got {self.health_successes}")
         if self.request_timeout_s < 0:
             raise ValueError(f"request_timeout_s must be >= 0, "
                              f"got {self.request_timeout_s}")
@@ -135,63 +127,65 @@ class GatewayConfig:
 
 
 class BackendHandle:
-    """One backend as the gateway sees it: client + breaker + health.
+    """One backend as the gateway sees it: client + breaker.
 
     The handle holds one :class:`AsyncServiceClient` (one multiplexed
     connection per backend, redialled by the client after it dies)
     with **no** retry policy — the gateway owns failover, and a client
     that retried on its own would hide exactly the failures the router
-    must see.
+    must see.  Its breaker is the backend's only routability state;
+    ``on_transition`` mirrors every state change, of this breaker and
+    of each fresh one :meth:`adopt` installs.
     """
 
     def __init__(self, backend_id: str, endpoint: str, shard: int,
-                 config: GatewayConfig):
+                 config: GatewayConfig,
+                 on_transition: Callable[[str, str], None]):
         self.backend_id = backend_id
-        self.endpoint = endpoint
         self.shard = shard
-        self.breaker = self._fresh_breaker(config)
-        self.healthy = True
         self.retired = False
-        self.consecutive_failures = 0
-        self.consecutive_successes = 0
         self._config = config
-        self.client = self._fresh_client(endpoint, config)
+        self._on_transition = on_transition
+        self.breaker = self._fresh_breaker()
+        self.client = self.dial(endpoint)
 
-    @staticmethod
-    def _fresh_client(endpoint: str,
-                      config: GatewayConfig) -> AsyncServiceClient:
+    @property
+    def endpoint(self) -> str:
+        return self.client.endpoint
+
+    def dial(self, endpoint: str) -> AsyncServiceClient:
+        """A client for ``endpoint``; it connects on first use."""
         return AsyncServiceClient(endpoint,
-                                  timeout_s=config.connect_timeout_s)
+                                  timeout_s=self._config.connect_timeout_s)
 
-    @staticmethod
-    def _fresh_breaker(config: GatewayConfig) -> CircuitBreaker:
+    def _fresh_breaker(self) -> CircuitBreaker:
+        config = self._config
         return CircuitBreaker(
             failure_threshold=config.breaker_threshold,
             window_s=config.breaker_window_s,
             cooldown_s=config.breaker_cooldown_s,
-            half_open_probes=config.breaker_probes)
+            half_open_probes=config.breaker_probes,
+            on_transition=self._on_transition)
 
-    def adopt_endpoint(self, endpoint: str) -> AsyncServiceClient:
-        """Point the handle at a restarted backend's fresh address.
+    def adopt(self, client: AsyncServiceClient) -> AsyncServiceClient:
+        """Switch to a restarted backend's client (from :meth:`dial`).
 
-        The client, breaker and health streaks reset with it: they
-        describe the dead process, and carrying an open breaker into the
-        new one would keep shedding a replica that is perfectly fine.
-        The caller closes the returned client, the dead process's.
+        The breaker resets with it: the old one describes the dead
+        process, and carrying it open into the new one would keep
+        shedding a replica that is perfectly fine.  The caller closes
+        the returned client, the dead process's.
         """
-        stale = self.client
-        self.endpoint = endpoint
-        self.client = self._fresh_client(endpoint, self._config)
-        self.breaker = self._fresh_breaker(self._config)
-        self.consecutive_failures = 0
-        self.consecutive_successes = 0
+        stale, old_state = self.client, self.breaker.state
+        self.client = client
+        self.breaker = self._fresh_breaker()
+        if old_state != CLOSED:
+            self._on_transition(old_state, CLOSED)
         return stale
 
     def as_dict(self) -> Dict[str, Any]:
         return {
             "endpoint": self.endpoint,
             "shard": self.shard,
-            "healthy": self.healthy,
             "retired": self.retired,
             "breaker": self.breaker.as_dict(),
         }
@@ -241,21 +235,20 @@ class ClusterGateway(NdjsonFrontEnd):
         self.topology = topology
         self.handles: Dict[str, BackendHandle] = {
             spec.backend_id: BackendHandle(
-                spec.backend_id, spec.endpoint, spec.shard, self.config)
+                spec.backend_id, spec.endpoint, spec.shard, self.config,
+                partial(self._on_breaker_transition, spec.backend_id))
             for spec in topology.backends}
-        # One ring per shard group; membership tracks health.
+        # One ring per shard group, fixed: routability is the breakers'.
         self._rings: Dict[int, HashRing] = {
             shard: HashRing(
                 [spec.backend_id for spec in topology.shard_group(shard)],
                 vnodes=self.config.vnodes)
             for shard in range(topology.shards)}
         self._health_task: Optional[asyncio.Task] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._session = uuid.uuid4().hex[:12]
         for backend_id in self.handles:
-            self.metrics.set_gauge(f"backend_{backend_id}_healthy", 1)
             self.metrics.set_gauge(f"backend_{backend_id}_breaker_state",
-                                   STATE_CODES["closed"])
+                                   STATE_CODES[CLOSED])
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -267,9 +260,6 @@ class ClusterGateway(NdjsonFrontEnd):
         await self._listen()
         if self.config.health_interval_s > 0:
             self._health_task = asyncio.ensure_future(self._health_loop())
-        # Captured so supervisor threads can bridge membership events
-        # onto this loop (notify_endpoint / notify_retired).
-        self._loop = asyncio.get_running_loop()
         logger.info("cluster gateway on %s (%dx%d backends)", self.endpoint,
                     self.topology.shards, self.topology.replicas)
 
@@ -322,21 +312,6 @@ class ClusterGateway(NdjsonFrontEnd):
             return f"gw-{request.idempotency_key}"
         return f"gw-{self._session}-c{conn_id}-{request.request_id}"
 
-    def _candidates(self, shard: int, key: str) -> List[BackendHandle]:
-        """Healthy replicas of ``shard`` in deterministic preference
-        order; falls back to the full (possibly unhealthy) group when
-        everything is ejected — stale health info must degrade to *an
-        attempt*, not an instant failure.  Retired backends (crash
-        loops the supervisor gave up on) are never candidates."""
-        ring = self._rings[shard]
-        if len(ring):
-            ids = ring.preference(key)
-        else:
-            ids = [spec.backend_id
-                   for spec in self.topology.shard_group(shard)]
-        return [self.handles[bid] for bid in ids
-                if not self.handles[bid].retired]
-
     async def _route(self, request: AlignRequest, conn_id: int,
                      deadline: Optional[float]) -> Dict[str, Any]:
         key = self._routing_key(request)
@@ -378,12 +353,16 @@ class ClusterGateway(NdjsonFrontEnd):
         candidate and counts a failover; any other error propagates.
         When every candidate has failed, the request is shed with the
         last failure's code: ``busy`` and ``overloaded`` are retryable,
-        so the client's RetryPolicy backs off while health, breakers
-        and backend queues recover.
+        so the client's RetryPolicy backs off while breakers and
+        backend queues recover.
         """
-        candidates = self._candidates(shard, key)
+        # Retired backends (crash loops the supervisor gave up on) are
+        # never candidates; an open breaker skips its attempt below.
+        candidates = [self.handles[bid]
+                      for bid in self._rings[shard].preference(key)
+                      if not self.handles[bid].retired]
         failure = _BackendUnavailable(
-            f"shard {shard}: every replica retired or ejected")
+            f"shard {shard}: every replica retired")
         with obs.span("route", "cluster", key=key, shard=shard,
                       primary=(candidates[0].backend_id
                                if candidates else None)):
@@ -437,7 +416,6 @@ class ClusterGateway(NdjsonFrontEnd):
                                           exc.code) from exc
             # Any other typed answer proves the backend alive.
             handle.breaker.record_success()
-            self._sync_breaker_gauge(handle)
             raise
         except (ConnectionError, OSError, asyncio.TimeoutError,
                 asyncio.IncompleteReadError) as exc:
@@ -447,10 +425,8 @@ class ClusterGateway(NdjsonFrontEnd):
         except asyncio.CancelledError:
             # The caller's deadline ran out: a timeout, like above.
             handle.breaker.record_failure()
-            self._sync_breaker_gauge(handle)
             raise
         handle.breaker.record_success()
-        self._sync_breaker_gauge(handle)
         return {k: v for k, v in obj.items() if k not in _FRAMING_KEYS}
 
     # ------------------------------------------------------------------ #
@@ -466,106 +442,82 @@ class ClusterGateway(NdjsonFrontEnd):
                   if not handle.retired))
 
     async def _health_check(self, handle: BackendHandle) -> None:
-        client = handle.client
+        """One ping, fed to the backend's breaker: a miss is a failure,
+        and a pong closes the breaker when the ping was its half-open
+        probe.  A ping never takes a slot a request holds."""
+        client, breaker = handle.client, handle.breaker
+        probing = breaker.try_probe()
         try:
             await asyncio.wait_for(client.ping(),
                                    self.config.health_timeout_s)
         except (ConnectionError, OSError, asyncio.TimeoutError,
                 asyncio.IncompleteReadError, ServiceError):
-            handle.consecutive_successes = 0
-            handle.consecutive_failures += 1
             await client.close()
-            if (handle.healthy and handle.consecutive_failures
-                    >= self.config.health_failures):
-                self._eject(handle)
+            if handle.breaker is breaker:  # else: a restart was adopted
+                breaker.record_failure()
             return
-        handle.consecutive_failures = 0
-        handle.consecutive_successes += 1
-        if (not handle.healthy and handle.consecutive_successes
-                >= self.config.health_successes):
-            self._readmit(handle)
-        self._sync_breaker_gauge(handle)
+        if probing and handle.breaker is breaker:
+            breaker.record_success()
 
-    def _eject(self, handle: BackendHandle) -> None:
-        handle.healthy = False
-        ring = self._rings[handle.shard]
-        if handle.backend_id in ring:
-            ring.remove(handle.backend_id)
-        self.metrics.inc("backend_ejects_total")
-        self.metrics.set_gauge(f"backend_{handle.backend_id}_healthy", 0)
-        obs.instant("backend_eject", "cluster",
-                    backend=handle.backend_id, shard=handle.shard)
-        logger.warning("ejected backend %s (%d consecutive ping "
-                       "failures)", handle.backend_id,
-                       handle.consecutive_failures)
-
-    def _readmit(self, handle: BackendHandle) -> None:
-        handle.healthy = True
-        ring = self._rings[handle.shard]
-        if handle.backend_id not in ring:
-            ring.add(handle.backend_id)
-        self.metrics.inc("backend_readmits_total")
-        self.metrics.set_gauge(f"backend_{handle.backend_id}_healthy", 1)
-        obs.instant("backend_readmit", "cluster",
-                    backend=handle.backend_id, shard=handle.shard)
-        logger.info("readmitted backend %s", handle.backend_id)
-
-    def _sync_breaker_gauge(self, handle: BackendHandle) -> None:
-        self.metrics.set_gauge(
-            f"backend_{handle.backend_id}_breaker_state",
-            STATE_CODES[handle.breaker.state])
+    def _on_breaker_transition(self, backend_id: str, old_state: str,
+                               new_state: str) -> None:
+        self.metrics.set_gauge(f"backend_{backend_id}_breaker_state",
+                               STATE_CODES[new_state])
+        if new_state == OPEN:
+            self.metrics.inc("backend_breaker_opens_total")
+        obs.instant("backend_breaker", "cluster", backend=backend_id,
+                    old=old_state, new=new_state)
+        # Losing a backend is the news; a dead one's probe cycle is not.
+        logger.log(logging.WARNING if old_state == CLOSED else logging.INFO,
+                   "backend %s breaker %s -> %s", backend_id, old_state,
+                   new_state)
 
     # ------------------------------------------------------------------ #
-    # Live ring reconciliation (supervisor → gateway membership bridge)
+    # Live reconciliation (supervisor → gateway bridge)
     # ------------------------------------------------------------------ #
 
     async def reconcile_backend(self, backend_id: str,
                                 endpoint: str) -> bool:
-        """Adopt a restarted backend: new endpoint, probe, readmit.
+        """Adopt a restarted backend: probe, then switch to it.
 
         Called when the supervisor reports a replica respawned on a
-        fresh port.  The handle's connection, breaker and health
-        streaks are reset (they describe the dead process), the new
-        endpoint is probed once, and on a pong the backend rejoins its
-        shard's ring immediately — no waiting out ``health_successes``
-        probes, no manual readmission.  If the probe misses, the
-        backend stays ejected and the regular health loop (now pointed
-        at the new endpoint) readmits it when it starts answering.
-        Returns True when the backend was readmitted.
+        fresh port.  The new endpoint is probed once before the handle
+        switches to it with a fresh breaker (the old client and breaker
+        describe the dead process).  On a pong the backend is routable
+        at once; on a miss the fresh breaker is tripped, so the backend
+        takes no traffic until a later ping answers after the cooldown
+        — readmission is earned.  Returns True when the probe answered.
         """
         handle = self.handles.get(backend_id)
         if handle is None or handle.retired:
             return False
         self.metrics.inc("backend_restarts_total")
-        await handle.adopt_endpoint(endpoint).close()
-        self._sync_breaker_gauge(handle)
         obs.instant("backend_reconcile", "cluster", backend=backend_id,
                     endpoint=endpoint)
-        client = handle.client
+        client = handle.dial(endpoint)
         try:
             await asyncio.wait_for(  # dial + ping
                 client.ping(), self.config.connect_timeout_s
                 + self.config.health_timeout_s)
+            answered = True
         except (ConnectionError, OSError, asyncio.TimeoutError,
                 asyncio.IncompleteReadError, ServiceError) as exc:
             logger.warning("reconcile probe of %s at %s failed: %s",
                            backend_id, endpoint, exc)
             await client.close()
-            if handle.healthy:
-                self._eject(handle)
+            answered = False
+        if handle.retired:  # retired while the probe was out
+            await client.close()
             return False
-        handle.consecutive_failures = 0
-        if not handle.healthy:
-            self._readmit(handle)
+        stale = handle.adopt(client)
+        if answered:
+            self.metrics.inc("backend_reconciles_total")
+            logger.info("reconciled backend %s onto %s", backend_id,
+                        endpoint)
         else:
-            # Restart landed inside the health-failure window: the
-            # handle was never ejected, but make ring membership
-            # explicit anyway (idempotent).
-            self._rings[handle.shard].ensure(backend_id)
-        self.metrics.inc("backend_reconciles_total")
-        logger.info("reconciled backend %s onto %s", backend_id,
-                    endpoint)
-        return True
+            handle.breaker.trip()
+        await stale.close()
+        return answered
 
     def retire_backend(self, backend_id: str, reason: str = "") -> None:
         """Permanently remove a crash-looping backend from routing.
@@ -578,10 +530,7 @@ class ClusterGateway(NdjsonFrontEnd):
         if handle is None or handle.retired:
             return
         handle.retired = True
-        handle.healthy = False
-        self._rings[handle.shard].discard(backend_id)
         self.metrics.inc("backend_crash_loop_ejects_total")
-        self.metrics.set_gauge(f"backend_{backend_id}_healthy", 0)
         obs.instant("backend_retire", "cluster", backend=backend_id,
                     reason=reason)
         logger.error("retired backend %s permanently: %s", backend_id,
@@ -592,36 +541,23 @@ class ClusterGateway(NdjsonFrontEnd):
         except RuntimeError:
             pass  # no running loop (sync test context): nothing to close
 
-    def notify_endpoint(self, backend_id: str, endpoint: str) -> None:
-        """Thread-safe restart notification (supervisor monitor → loop)."""
-        loop = self._loop
-        if loop is None or loop.is_closed():
-            return
-        loop.call_soon_threadsafe(self._spawn_reconcile, backend_id,
-                                  endpoint)
-
-    def notify_retired(self, backend_id: str, reason: str = "") -> None:
-        """Thread-safe crash-loop ejection notification."""
-        loop = self._loop
-        if loop is None or loop.is_closed():
-            return
-        loop.call_soon_threadsafe(self.retire_backend, backend_id,
-                                  reason)
-
-    def _spawn_reconcile(self, backend_id: str, endpoint: str) -> None:
-        task = asyncio.ensure_future(
-            self.reconcile_backend(backend_id, endpoint))
-        self._track(task)
-
     def supervisor_listener(self) -> Callable[[Any], None]:
         """An ``on_event`` callback for ``ClusterSupervisor.
         start_monitor`` wiring restarts and crash-loop ejects into this
-        gateway.  Safe to call from the monitor thread."""
+        gateway.  Call it on the gateway's loop; the callback it returns
+        is safe to call from the monitor thread."""
+        loop = asyncio.get_running_loop()
+
         def on_event(event: Any) -> None:
+            if loop.is_closed():
+                return
             if event.kind == "restarted":
-                self.notify_endpoint(event.backend_id, event.endpoint)
+                loop.call_soon_threadsafe(lambda: self._track(
+                    asyncio.ensure_future(self.reconcile_backend(
+                        event.backend_id, event.endpoint))))
             elif event.kind == "ejected":
-                self.notify_retired(event.backend_id, event.detail)
+                loop.call_soon_threadsafe(self.retire_backend,
+                                          event.backend_id, event.detail)
         return on_event
 
     # ------------------------------------------------------------------ #

@@ -3,9 +3,9 @@
 The gateway routes each request onto one backend out of a replica group;
 the mapping must be (a) deterministic — the same read id always lands on
 the same backend, so caches and idempotency state stay warm — and
-(b) stable under membership change — ejecting one backend must remap
-only the keys that backend owned, not reshuffle the whole keyspace the
-way ``hash(key) % n`` would.
+(b) stable when a member is unavailable — skipping one backend must
+remap only the keys that backend owned, not reshuffle the whole keyspace
+the way ``hash(key) % n`` would.
 
 Classic consistent hashing: every member owns ``vnodes`` points on a
 2^64 ring (SHA-256-derived, so placement is identical across processes
@@ -23,8 +23,8 @@ import hashlib
 from typing import Dict, List, Sequence, Tuple
 
 #: Virtual nodes per member: enough that 2-8 members split the keyspace
-#: within a few percent of even, small enough that ring rebuilds on
-#: membership change stay trivially cheap.
+#: within a few percent of even, small enough that building the ring
+#: stays trivially cheap.
 DEFAULT_VNODES = 64
 
 _RING_BITS = 64
@@ -38,82 +38,26 @@ def stable_hash(key: str) -> int:
 
 
 class HashRing:
-    """A consistent-hash ring over named members.
+    """A consistent-hash ring over a fixed set of named members.
 
-    Membership edits rebuild the sorted point list (O(members * vnodes
-    * log)); routing is a binary search.  The ring holds plain member
-    names — the gateway layers health and breaker state on top and
-    passes in only the members it currently considers routable.
+    The sorted point list is built once, at construction; routing is a
+    binary search.  Membership never changes: the gateway walks
+    :meth:`preference` and skips the members it cannot route to right
+    now, which yields exactly the order a ring without them would.
     """
 
     def __init__(self, members: Sequence[str] = (),
                  vnodes: int = DEFAULT_VNODES):
         if vnodes < 1:
             raise ValueError(f"vnodes must be >= 1, got {vnodes}")
+        if len(set(members)) != len(members):
+            raise ValueError(f"duplicate ring members: {list(members)}")
         self.vnodes = vnodes
-        self._members: List[str] = []
-        self._points: List[Tuple[int, str]] = []
-        self._keys: List[int] = []
-        for member in members:
-            self.add(member)
-
-    # ------------------------------------------------------------------ #
-    # Membership
-    # ------------------------------------------------------------------ #
-
-    @property
-    def members(self) -> List[str]:
-        """Current members, in insertion order."""
-        return list(self._members)
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, member: str) -> bool:
-        return member in self._members
-
-    def add(self, member: str) -> None:
-        if member in self._members:
-            raise ValueError(f"member {member!r} already on the ring")
-        self._members.append(member)
-        for vnode in range(self.vnodes):
-            point = stable_hash(f"{member}#{vnode}")
-            self._points.append((point, member))
-        self._rebuild()
-
-    def remove(self, member: str) -> None:
-        if member not in self._members:
-            raise KeyError(f"member {member!r} not on the ring")
-        self._members.remove(member)
-        self._points = [(p, m) for p, m in self._points if m != member]
-        self._rebuild()
-
-    def ensure(self, member: str) -> bool:
-        """Idempotent :meth:`add`: True if the member was actually added.
-
-        Reconciliation paths (health readmit racing a supervisor restart
-        notification) must converge on "member is routable" without
-        caring who got there first — a strict ``add`` would raise.
-        """
-        if member in self._members:
-            return False
-        self.add(member)
-        return True
-
-    def discard(self, member: str) -> bool:
-        """Idempotent :meth:`remove`: True if the member was present."""
-        if member not in self._members:
-            return False
-        self.remove(member)
-        return True
-
-    def _rebuild(self) -> None:
-        self._points.sort()
+        self._members: List[str] = list(members)
+        self._points: List[Tuple[int, str]] = sorted(
+            (stable_hash(f"{member}#{vnode}"), member)
+            for member in self._members for vnode in range(vnodes))
         self._keys = [point for point, _ in self._points]
-
-    # ------------------------------------------------------------------ #
-    # Routing
-    # ------------------------------------------------------------------ #
 
     def route(self, key: str) -> str:
         """The member owning ``key`` (first ring point clockwise)."""

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.cluster.topology import ClusterTopology, shard_reference
+from repro.faults.retry import RetryPolicy
 from repro.genome.io import read_reference, write_fasta
 from repro.genome.reference import ReferenceGenome
 
@@ -65,7 +66,8 @@ class RestartPolicy:
 
     The k-th death inside the crash-loop window waits
     ``backoff_base_s * backoff_multiplier**(k-1)`` (capped at
-    ``backoff_max_s``) before the respawn attempt; hitting
+    ``backoff_max_s``) before the respawn attempt — the jitter-free
+    :class:`~repro.faults.retry.RetryPolicy` schedule; hitting
     ``crash_loop_threshold`` deaths inside ``crash_loop_window_s``
     permanently ejects the backend instead — a replica that cannot hold
     a process up is capacity the ring is better off without.
@@ -76,24 +78,27 @@ class RestartPolicy:
     backoff_max_s: float = 5.0
     crash_loop_threshold: int = 5
     crash_loop_window_s: float = 30.0
+    _backoff: RetryPolicy = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # RetryPolicy validates the multiplier; a restart schedule also
+        # needs a real first wait and a cap that does not undercut it.
         if self.backoff_base_s <= 0:
             raise ValueError("backoff_base_s must be > 0")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
         if self.backoff_max_s < self.backoff_base_s:
             raise ValueError("backoff_max_s must be >= backoff_base_s")
         if self.crash_loop_threshold < 1:
             raise ValueError("crash_loop_threshold must be >= 1")
         if self.crash_loop_window_s <= 0:
             raise ValueError("crash_loop_window_s must be > 0")
+        object.__setattr__(self, "_backoff", RetryPolicy(
+            base_delay_s=self.backoff_base_s,
+            multiplier=self.backoff_multiplier,
+            max_delay_s=self.backoff_max_s, jitter=0.0))
 
     def delay_s(self, recent_deaths: int) -> float:
         """Backoff before the respawn following the n-th recent death."""
-        exponent = max(0, recent_deaths - 1)
-        return min(self.backoff_max_s,
-                   self.backoff_base_s * self.backoff_multiplier ** exponent)
+        return self._backoff.delay_for(max(0, recent_deaths - 1))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,11 @@ Classic three-state breaker over a sliding failure window:
   are let through; one success closes the breaker, one failure re-opens
   it and restarts the cooldown.
 
+Liveness checks outside the request path (the gateway's health pings)
+drive the same state machine: :meth:`CircuitBreaker.try_probe` claims a
+half-open slot without ever shedding, and :meth:`CircuitBreaker.trip`
+opens the breaker outright when such a probe proves the target gone.
+
 The breaker is self-locking (the server's workers record outcomes while
 the dispatch path asks :meth:`allow`), takes an injectable clock for
 tests, and reports transitions through an optional callback so the
@@ -121,29 +126,50 @@ class CircuitBreaker:
         ``False`` means the caller should shed (``busy``): the breaker
         is open, or half-open with its probe quota already out.
         """
+        return self._acquire(closed=True, count_shed=True)
+
+    def try_probe(self) -> bool:
+        """Claim a half-open probe slot for an out-of-band probe.
+
+        For liveness checks outside the request path (a health ping):
+        ``True`` when the caller now holds a probe and must report its
+        outcome — the breaker was open past its cooldown, or half-open
+        with a slot free.  A closed breaker, a cooldown still running or
+        a slot a request already holds all answer ``False``, and unlike
+        :meth:`allow` that refusal is not counted as a shed.
+        """
+        return self._acquire(closed=False, count_shed=False)
+
+    def _acquire(self, closed: bool, count_shed: bool) -> bool:
         notify = None
         with self._lock:
-            if self._state == OPEN:
-                now = self._clock()
-                if now - self._opened_at < self.cooldown_s:
-                    self._sheds += 1
-                    allowed = False
-                else:
-                    notify = self._transition(HALF_OPEN)
-                    self._probes_issued = 1
-                    allowed = True
-            elif self._state == HALF_OPEN:
-                if self._probes_issued < self.half_open_probes:
-                    self._probes_issued += 1
-                    allowed = True
-                else:
-                    self._sheds += 1
-                    allowed = False
-            else:
+            if self._state == CLOSED:
+                allowed = closed
+            elif (self._state == OPEN and self._clock() - self._opened_at
+                    >= self.cooldown_s):
+                notify = self._transition(HALF_OPEN)
+                self._probes_issued = 1
                 allowed = True
+            elif (self._state == HALF_OPEN
+                    and self._probes_issued < self.half_open_probes):
+                self._probes_issued += 1
+                allowed = True
+            else:
+                if count_shed:
+                    self._sheds += 1
+                allowed = False
         if notify is not None:
             notify()
         return allowed
+
+    def trip(self) -> None:
+        """Open the breaker now and restart its cooldown, whatever its
+        state: an out-of-band probe proved the target unreachable."""
+        with self._lock:
+            notify = self._transition(OPEN)
+            self._opened_at = self._clock()
+        if notify is not None:
+            notify()
 
     def record_failure(self) -> None:
         """Count one failure; may trip open (or re-open a probe)."""

@@ -33,8 +33,8 @@ With ``cluster_backends > 0`` the run additionally drives a replicated
 more invariants: **backend_kill_zero_loss** (plan-scheduled mid-load
 SIGKILLs lose nothing and the SAM stays byte-identical),
 **backend_restart_zero_loss** (the supervisor's monitor loop restarts
-every victim and the gateway's live ring reconciliation readmits it —
-no manual readmission anywhere in the harness), and
+every victim and the gateway's live reconciliation readmits it, breaker
+closed — no manual readmission anywhere in the harness), and
 **overload_graceful_degradation** (an open-loop burst, through a
 gateway, far above the capacity of a one-slot backend produces only
 successes and typed sheds, a backend queue depth within its bound, and
@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.faults.breaker import CLOSED
 from repro.faults.plan import (
     BACKEND_KILL,
     CACHE_CORRUPT,
@@ -203,10 +204,12 @@ async def _await_cluster_recovery(gateway: Any, supervisor: Any,
                                   kills: List[Tuple[str, int]],
                                   timeout_s: float
                                   ) -> Tuple[bool, str]:
-    """Block until every killed backend is restarted AND readmitted.
+    """Block until every killed backend is restarted AND readmitted:
+    alive, and in the gateway on its new endpoint, not retired, with
+    its breaker closed.
 
-    The harness never touches the ring or the supervisor here — it only
-    *observes*; recovery must be entirely supervisor-monitor +
+    The harness never touches the gateway or the supervisor here — it
+    only *observes*; recovery must be entirely supervisor-monitor +
     gateway-reconciliation driven (the "no manual readmit" half of the
     invariant).
     """
@@ -220,9 +223,8 @@ async def _await_cluster_recovery(gateway: Any, supervisor: Any,
             if backend.restarts < count or not backend.alive:
                 return False
             handle = gateway.handles[victim]
-            if not handle.healthy or handle.retired:
-                return False
-            if victim not in gateway._rings[handle.shard]:
+            if (handle.endpoint != backend.endpoint or handle.retired
+                    or handle.breaker.state != CLOSED):
                 return False
         return True
 
@@ -232,7 +234,7 @@ async def _await_cluster_recovery(gateway: Any, supervisor: Any,
             state = {victim: {
                 "restarts": supervisor.backend(victim).restarts,
                 "alive": supervisor.backend(victim).alive,
-                "healthy": gateway.handles[victim].healthy,
+                "breaker": gateway.handles[victim].breaker.state,
             } for victim in expected}
             return False, f"recovery timed out after {timeout_s}s: {state}"
         await asyncio.sleep(0.05)
@@ -259,7 +261,6 @@ async def _cluster_run(topology: Any, supervisor: Any, specs: Any,
     result: Dict[str, Any] = {}
     config = GatewayConfig(host="127.0.0.1", port=0,
                            health_interval_s=0.2,
-                           health_failures=2,
                            breaker_cooldown_s=0.5)
     gateway = ClusterGateway(topology, config=config)
     await gateway.start()
@@ -629,7 +630,7 @@ def run_chaos(plan_name: str = "ci-default", seed: int = 7,
 
         if kills:
             # Supervisor-driven recovery: every victim restarted by the
-            # monitor loop and readmitted by the gateway's live ring
+            # monitor loop and readmitted by the gateway's live
             # reconciliation — the harness never readmits anything.
             victims = {victim for victim, _ in kills}
             recovery_ok = cluster["recovery_ok"]

@@ -36,7 +36,7 @@ from repro.service.protocol import (
 )
 from repro.service.server import ServerConfig
 from tests.cluster.helpers import async_wait_until
-from tests.cluster.test_gateway import SlowEngine, cluster, counters
+from tests.cluster.test_gateway import SlowEngine, cluster, counters, gauges
 from tests.service.helpers import run
 
 
@@ -385,8 +385,9 @@ async def stub_cluster(read, primary, secondary, **gateway_overrides):
     endpoints = {bid: await stub.start() for bid, stub in stubs.items()}
     topology = ClusterTopology(shards=1, replicas=2).with_endpoints(
         endpoints)
-    gateway = ClusterGateway(topology, config=GatewayConfig(
-        port=0, health_interval_s=0.0, **gateway_overrides))
+    config = {"port": 0, "health_interval_s": 0.0}
+    config.update(gateway_overrides)
+    gateway = ClusterGateway(topology, config=GatewayConfig(**config))
     await gateway.start()
     client = await AsyncServiceClient.connect("127.0.0.1", gateway.port)
     try:
@@ -497,6 +498,38 @@ def test_typed_answer_to_a_half_open_probe_closes_the_breaker(
             assert (await client.align(read))["sam"] == ["stub"]
             assert len(primary.lines) == 2
             assert counters(gateway).get("failovers_total", 0) == 0
+    run(scenario())
+
+
+@pytest.mark.parametrize("path", ["shed", "refused", "pings"])
+def test_breaker_gauge_reads_open_once_the_breaker_opens(cluster_reads,
+                                                         path):
+    """Regression: the breaker-state gauge read 0 (closed) while the
+    breaker was open, because a retryable shed, a connection error and
+    a missed ping each recorded the failure without updating the gauge.
+    The breaker's own transitions now drive it."""
+    read = cluster_reads[0]
+    primary = StubBackend(BUSY)
+    overrides = {"health_interval_s": 0.02} if path == "pings" else {}
+
+    async def scenario():
+        async with stub_cluster(read, primary, StubBackend(SERVED),
+                                breaker_threshold=3, **overrides) as \
+                (gateway, client):
+            bid = HashRing(["s0r0", "s0r1"]).preference(read.read_id)[0]
+            breaker = gateway.handles[bid].breaker
+            assert gauges(gateway)[f"backend_{bid}_breaker_state"] == 0
+            if path != "shed":
+                await primary.close()
+            if path == "pings":
+                await async_wait_until(lambda: breaker.state == "open",
+                                       message="pings never opened it")
+            else:
+                for _ in range(3):
+                    assert (await client.align(read))["sam"] == ["stub"]
+            assert breaker.state == "open"
+            assert gauges(gateway)[f"backend_{bid}_breaker_state"] == 2
+            assert counters(gateway)["backend_breaker_opens_total"] == 1
     run(scenario())
 
 

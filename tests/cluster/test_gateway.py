@@ -1,5 +1,5 @@
 """Gateway behavior against in-process backends: routing, failover,
-health-driven membership, scatter/gather, idempotency."""
+breaker-driven routability, scatter/gather, idempotency."""
 
 import asyncio
 import contextlib
@@ -138,34 +138,44 @@ def test_failover_when_backend_dies(cluster_reference, cluster_reads):
     run(scenario())
 
 
-def test_health_loop_ejects_and_readmits(cluster_reference, cluster_reads):
+def test_health_pings_alone_open_and_close_the_breaker(
+        cluster_reference, cluster_reads):
+    """No request traffic and no supervisor: missed pings open a dead
+    backend's breaker, requests then go to the survivor only, and the
+    first pong after the cooldown, once it is back, closes it again."""
     async def scenario():
         async with cluster(cluster_reference, replicas=2,
                            health_interval_s=0.05, health_timeout_s=0.5,
-                           health_failures=2, health_successes=2) as \
+                           breaker_threshold=2,
+                           breaker_cooldown_s=1.0) as \
                 (gateway, servers, client):
             port = servers["s0r1"].port
             await servers["s0r1"].shutdown(drain=False)
 
-            async def wait_healthy(value):
+            async def wait_breaker(code):
                 await async_wait_until(
-                    lambda: gauges(gateway)["backend_s0r1_healthy"]
-                    == value,
-                    message=lambda: (f"s0r1 never became healthy="
-                                     f"{value}: {gauges(gateway)}"))
+                    lambda: gauges(gateway)["backend_s0r1_breaker_state"]
+                    == code,
+                    message=lambda: (f"s0r1 breaker never reached "
+                                     f"{code}: {gauges(gateway)}"))
 
-            await wait_healthy(0)
-            assert counters(gateway)["backend_ejects_total"] == 1
-            # Every request now routes to the survivor.
+            await wait_breaker(2)
+            assert counters(gateway)["backend_breaker_opens_total"] == 1
+            assert gateway.handles["s0r1"].breaker.state == "open"
             for read in cluster_reads[:4]:
                 assert "sam" in await client.align(read)
-            # Revive the backend on its old endpoint → readmitted.
+            assert counters(gateway).get("backend_s0r1_requests_total",
+                                         0) == 0
+            # Revive the backend on its old endpoint: a ping after the
+            # cooldown is the half-open probe, and its pong closes it.
             servers["s0r1"] = AlignmentServer(
                 cluster_reference, config=ServerConfig(
                     port=port, stats_interval_s=0.0, workers=1))
             await servers["s0r1"].start()
-            await wait_healthy(1)
-            assert counters(gateway)["backend_readmits_total"] == 1
+            await wait_breaker(0)
+            for read in cluster_reads:
+                assert "sam" in await client.align(read)
+            assert counters(gateway)["backend_s0r1_requests_total"] > 0
     run(scenario())
 
 
@@ -286,36 +296,52 @@ def test_reconcile_adopts_new_endpoint_and_readmits(
             assert await gateway.reconcile_backend("s0r1", endpoint)
             handle = gateway.handles["s0r1"]
             assert handle.endpoint == endpoint
-            assert handle.healthy and not handle.retired
-            assert "s0r1" in gateway._rings[0]
+            assert handle.breaker.state == "closed" and not handle.retired
             snap = counters(gateway)
             assert snap["backend_restarts_total"] == 1
             assert snap["backend_reconciles_total"] == 1
-            for read in cluster_reads[:6]:
+            for read in cluster_reads:
                 assert "sam" in await client.align(read)
+            assert counters(gateway)["backend_s0r1_requests_total"] > 0
     run(scenario())
 
 
-def test_reconcile_onto_dead_endpoint_ejects_until_it_answers(
+def test_failed_reconcile_probe_routes_nothing_until_a_ping_answers(
         cluster_reference, cluster_reads):
     async def scenario():
         async with cluster(cluster_reference, replicas=2,
-                           connect_timeout_s=0.5) as \
+                           connect_timeout_s=0.5, health_interval_s=0.05,
+                           breaker_cooldown_s=1.0) as \
                 (gateway, servers, client):
             port = servers["s0r1"].port
             await servers["s0r1"].shutdown(drain=False)
             # The supervisor claims a restart but the probe misses
-            # (nothing listens there): the backend must leave the ring
-            # rather than take live traffic.
+            # (nothing listens there): the fresh breaker is tripped
+            # rather than let the backend take live traffic.
             assert not await gateway.reconcile_backend(
                 "s0r1", f"127.0.0.1:{port}")
-            assert not gateway.handles["s0r1"].healthy
-            assert "s0r1" not in gateway._rings[0]
+            assert gateway.handles["s0r1"].breaker.state == "open"
+            assert gauges(gateway)["backend_s0r1_breaker_state"] == 2
             assert counters(gateway).get("backend_reconciles_total",
                                          0) == 0
-            # Traffic keeps flowing on the survivor meanwhile.
+            # Traffic keeps flowing on the survivor meanwhile, and none
+            # of it reaches the unprobed backend.
             for read in cluster_reads[:4]:
                 assert "sam" in await client.align(read)
+            assert counters(gateway).get("backend_s0r1_requests_total",
+                                         0) == 0
+            # The process comes up: a ping after the cooldown answers,
+            # and only then does the backend take requests again.
+            servers["s0r1"] = AlignmentServer(
+                cluster_reference, config=ServerConfig(
+                    port=port, stats_interval_s=0.0, workers=1))
+            await servers["s0r1"].start()
+            await async_wait_until(
+                lambda: gateway.handles["s0r1"].breaker.state == "closed",
+                message="no ping closed the tripped breaker")
+            for read in cluster_reads:
+                assert "sam" in await client.align(read)
+            assert counters(gateway)["backend_s0r1_requests_total"] > 0
     run(scenario())
 
 
@@ -324,25 +350,56 @@ def test_retired_backend_is_never_a_candidate(cluster_reference,
     """Crash-loop retirement: permanent, alert-counted, and the gateway
     keeps serving on the survivors without wedging."""
     async def scenario():
-        async with cluster(cluster_reference, replicas=2) as \
+        async with cluster(cluster_reference, replicas=2,
+                           health_interval_s=0.05) as \
                 (gateway, servers, client):
             gateway.retire_backend("s0r1", "crash loop (test)")
             handle = gateway.handles["s0r1"]
-            assert handle.retired and not handle.healthy
-            assert "s0r1" not in gateway._rings[0]
+            assert handle.retired
             snap = counters(gateway)
             assert snap["backend_crash_loop_ejects_total"] == 1
-            # Retirement is sticky: a later restart event must not
-            # resurrect the backend.
+            # Retirement is sticky: neither a later restart event nor
+            # the answering backend's pings resurrect it.
             assert not await gateway.reconcile_backend(
                 "s0r1", f"127.0.0.1:{servers['s0r1'].port}")
-            assert "s0r1" not in gateway._rings[0]
+            await asyncio.sleep(0.2)
+            assert handle.retired
             for read in cluster_reads:
                 assert "sam" in await client.align(read)
             assert counters(gateway).get("backend_s0r1_requests_total",
                                          0) == 0
             stats = await client.stats()
             assert stats["backends"]["s0r1"]["retired"] is True
+    run(scenario())
+
+
+def test_retirement_during_a_reconcile_probe_is_not_undone(
+        cluster_reference):
+    """The supervisor retires a backend while a reconcile probe of its
+    new endpoint is still out: the probe's end must not adopt it."""
+    async def scenario():
+        silent = []  # accepted connections that are never answered
+        hung = await asyncio.start_server(
+            lambda reader, writer: silent.append(writer), "127.0.0.1", 0)
+        hung_endpoint = f"127.0.0.1:{hung.sockets[0].getsockname()[1]}"
+        try:
+            async with cluster(cluster_reference, replicas=2,
+                               connect_timeout_s=0.3,
+                               health_timeout_s=0.3) as \
+                    (gateway, servers, client):
+                handle = gateway.handles["s0r1"]
+                endpoint = handle.endpoint
+                probe = asyncio.ensure_future(
+                    gateway.reconcile_backend("s0r1", hung_endpoint))
+                await async_wait_until(lambda: silent,
+                                       message="the probe never dialled")
+                gateway.retire_backend("s0r1", "crash loop (test)")
+                assert not await probe
+                assert handle.retired and handle.endpoint == endpoint
+        finally:
+            hung.close()
+            for writer in silent:
+                writer.close()
     run(scenario())
 
 
@@ -399,6 +456,8 @@ def test_gateway_config_validation():
     import pytest
 
     with pytest.raises(ValueError):
-        GatewayConfig(health_failures=0)
-    with pytest.raises(ValueError):
         GatewayConfig(default_budget_ms=-1.0)
+    with pytest.raises(ValueError):
+        GatewayConfig(request_timeout_s=-1.0)
+    with pytest.raises(ValueError):
+        GatewayConfig(idempotency_capacity=0)

@@ -125,6 +125,19 @@ def test_restart_policy_backoff_and_validation():
         RestartPolicy(crash_loop_threshold=0)
 
 
+@pytest.mark.parametrize("kwargs,schedule", [
+    ({}, [0.25, 0.5, 1.0, 2.0, 4.0, 5.0, 5.0, 5.0]),
+    # The chaos harness's restart policy.
+    ({"backoff_base_s": 0.1, "backoff_max_s": 1.0},
+     [0.1, 0.2, 0.4, 0.8, 1.0, 1.0, 1.0, 1.0]),
+], ids=["defaults", "chaos"])
+def test_restart_backoff_schedule_is_pinned(kwargs, schedule):
+    """The restart backoff is RetryPolicy's jitter-free schedule, value
+    for value the one the supervisor always used."""
+    policy = RestartPolicy(**kwargs)
+    assert [policy.delay_s(k) for k in range(1, 9)] == schedule
+
+
 def test_monitor_restarts_sigkilled_backend(reference_path, tmp_path):
     """The whole self-healing loop, with a real SIGKILL: death noticed,
     backoff waited out, replica respawned on a fresh endpoint, state

@@ -115,6 +115,46 @@ class TestStateMachine:
         assert breaker.as_dict()["sheds_total"] == 4
 
 
+class TestOutOfBandProbe:
+    def test_try_probe_only_claims_half_open_slots_and_never_sheds(
+            self, clock):
+        breaker = make_breaker(clock, half_open_probes=1)
+        assert not breaker.try_probe()   # closed: nothing to probe
+        trip(breaker)
+        assert not breaker.try_probe()   # cooling down
+        clock.advance(5.0)
+        assert breaker.try_probe()       # takes the half-open slot
+        assert breaker.state == HALF_OPEN
+        assert not breaker.allow()       # a request now sheds
+        breaker.record_success()
+        assert breaker.state == CLOSED
+        assert breaker.as_dict()["sheds_total"] == 1
+
+    def test_try_probe_leaves_a_request_held_slot_alone(self, clock):
+        breaker = make_breaker(clock, half_open_probes=1)
+        trip(breaker)
+        clock.advance(5.0)
+        assert breaker.allow()           # a request is the probe
+        assert not breaker.try_probe()
+        assert breaker.state == HALF_OPEN
+        assert breaker.as_dict()["sheds_total"] == 0
+
+    def test_trip_opens_from_any_state_and_restarts_the_cooldown(
+            self, clock):
+        transitions = []
+        breaker = make_breaker(clock, on_transition=lambda a, b:
+                               transitions.append((a, b)))
+        breaker.trip()
+        assert breaker.state == OPEN
+        clock.advance(4.0)
+        breaker.trip()                   # already open: cooldown rearms
+        clock.advance(4.0)
+        assert not breaker.allow()
+        clock.advance(1.0)
+        assert breaker.allow()
+        assert transitions == [(CLOSED, OPEN), (OPEN, HALF_OPEN)]
+
+
 class TestObservability:
     def test_on_transition_sequence(self, clock):
         transitions = []
