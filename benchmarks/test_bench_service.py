@@ -3,7 +3,8 @@
 The acceptance measurement for the serving tentpole: the same closed-loop
 workload driven through a live `AlignmentServer`, once with the dynamic
 batcher coalescing up to 64 requests per engine call and once pinned to
-batch-size 1 (no cross-request batching, scalar extension).  Reads are
+batch-size 1 (no cross-request batching: each request's hits are extended
+on their own).  Reads are
 error-free and fixed-length so every extension window has the same shape
 and the vectorized `smith_waterman_batch` kernel gets full batches —
 exactly the NvWa occupancy argument, transplanted to the service layer.
@@ -34,15 +35,14 @@ def _bench_workload():
     return reference, loadgen.workload_from_reads(reads)
 
 
-def _drive(reference, specs, max_batch, batch_extension):
+def _drive(reference, specs, max_batch):
     """Serve in-process, warm the engine, then run the closed loop."""
 
     async def scenario():
         server = AlignmentServer(
             reference,
             config=ServerConfig(port=0, stats_interval_s=0, workers=1,
-                                max_batch=max_batch,
-                                batch_extension=batch_extension))
+                                max_batch=max_batch))
         await server.start()
         try:
             # Warm request keeps index construction out of both windows.
@@ -67,7 +67,7 @@ def _check(report):
 def test_bench_service_batched(benchmark):
     reference, specs = _bench_workload()
     report = run_once(benchmark, _drive, reference, specs,
-                      max_batch=64, batch_extension=True)
+                      max_batch=64)
     _check(report)
     occupancy = report.server_stats["metrics"]["histograms"]["batch_size"]
     assert occupancy["mean"] > 1.0, "batching never coalesced"
@@ -76,7 +76,7 @@ def test_bench_service_batched(benchmark):
 def test_bench_service_unbatched(benchmark):
     reference, specs = _bench_workload()
     report = run_once(benchmark, _drive, reference, specs,
-                      max_batch=1, batch_extension=False)
+                      max_batch=1)
     _check(report)
     occupancy = report.server_stats["metrics"]["histograms"]["batch_size"]
     assert occupancy["max"] == 1.0
@@ -87,9 +87,8 @@ def test_batched_serving_outpaces_unbatched():
     dynamic batching must raise service throughput over batch-size-1
     serving on the same workload — the tentpole acceptance criterion."""
     reference, specs = _bench_workload()
-    batched = _drive(reference, specs, max_batch=64, batch_extension=True)
-    unbatched = _drive(reference, specs, max_batch=1,
-                       batch_extension=False)
+    batched = _drive(reference, specs, max_batch=64)
+    unbatched = _drive(reference, specs, max_batch=1)
     _check(batched)
     _check(unbatched)
     assert batched.throughput_rps > unbatched.throughput_rps, (

@@ -18,7 +18,8 @@ simulator's timing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from itertools import islice
+from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.genome import sequence as seq
@@ -29,8 +30,8 @@ from repro.seeding.chaining import Anchor, chain_anchors, filter_anchors, top_ch
 from repro.seeding.smem import find_smems
 from repro.extension.alignment import Alignment
 from repro.extension.scoring import BWA_MEM_SCORING, ScoringScheme
-from repro.extension.smith_waterman import smith_waterman
 from repro.core.interface import Hit
+from repro.runtime.batch import smith_waterman_batch
 
 
 @dataclass
@@ -142,20 +143,25 @@ class SoftwareAligner:
                             ref_start=window_start, ref_end=window_end))
         return hits
 
-    def extend_hit(self, read_seq: str, hit: Hit,
-                   work: PhaseWork) -> Alignment:
-        """Step ❸: affine Smith-Waterman over the hit's reference window."""
-        oriented = (seq.reverse_complement(read_seq) if hit.reverse
-                    else read_seq)
-        window = self.text[hit.ref_start:hit.ref_end]
-        local = smith_waterman(oriented, window, scoring=self.scoring)
-        work.extension_cells += local.cells
-        return Alignment(score=local.score, cigar=local.cigar,
-                         read_start=local.read_start,
-                         read_end=local.read_end,
-                         ref_start=hit.ref_start + local.ref_start,
-                         ref_end=hit.ref_start + local.ref_end,
-                         reverse=hit.reverse, cells=local.cells)
+    def extend_hit(self, jobs: Sequence[Tuple[str, Hit]]) -> List[Alignment]:
+        """Step ❸: affine Smith-Waterman over each hit's reference window.
+
+        ``jobs`` are ``(read_seq, hit)`` pairs; all of them go through one
+        :func:`~repro.runtime.batch.smith_waterman_batch` call, which
+        stacks same-shaped windows into shared vectorized fills.
+        Alignments come back in job order, in reference coordinates.
+        """
+        pairs = [(seq.reverse_complement(read_seq) if hit.reverse
+                  else read_seq, self.text[hit.ref_start:hit.ref_end])
+                 for read_seq, hit in jobs]
+        locals_ = smith_waterman_batch(pairs, scoring=self.scoring)
+        return [Alignment(score=local.score, cigar=local.cigar,
+                          read_start=local.read_start,
+                          read_end=local.read_end,
+                          ref_start=hit.ref_start + local.ref_start,
+                          ref_end=hit.ref_start + local.ref_end,
+                          reverse=hit.reverse, cells=local.cells)
+                for (_, hit), local in zip(jobs, locals_)]
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -163,84 +169,41 @@ class SoftwareAligner:
 
     def align(self, read: Read, read_idx: int = 0) -> ReadAlignment:
         """Run the full pipeline for one read (Steps ❶-❹)."""
-        work = PhaseWork()
-        with obs.span("align_read", "pipeline", read_id=read.read_id) as top:
-            with obs.span("seeding", "pipeline"):
-                anchors = self.collect_anchors(read.sequence, work)
-            with obs.span("chain", "pipeline", anchors=len(anchors)):
-                hits = self.build_hits(read_idx, len(read.sequence), anchors)
-            work.hit_count = len(hits)
-            best: Optional[Alignment] = None
-            with obs.span("extension", "pipeline", hits=len(hits)):
-                for hit in hits:
-                    candidate = self.extend_hit(read.sequence, hit, work)
-                    if best is None or candidate.score > best.score:
-                        best = candidate
-            if best is not None and best.score <= 0:
-                best = None
-            top.set_args(mapped=best is not None,
-                         seeding_accesses=work.seeding_accesses,
-                         extension_cells=work.extension_cells)
-        return ReadAlignment(read=read, best=best, hits=hits, work=work)
+        return self.align_all([read], read_idx)[0]
 
     def align_all(self, reads: Sequence[Read],
-                  start_index: int = 0,
-                  batch_extension: bool = False,
-                  max_batch: int = 64) -> List[ReadAlignment]:
-        """Align a batch of reads, indexed ``start_index..start_index+n-1``.
+                  start_index: int = 0) -> List[ReadAlignment]:
+        """Align reads indexed ``start_index..start_index+n-1``.
+
+        Every read is seeded and chained first; then all of the call's
+        hits are extended together (:meth:`extend_hit`) and each read
+        keeps its best hit, the lowest hit index winning a tied score.
 
         Args:
             start_index: global index of the first read (sharded callers
                 keep per-read indices global across shards).
-            batch_extension: pack same-shaped extension jobs into
-                vectorized batch kernel calls (see
-                :mod:`repro.runtime.batch`).  Results are bit-identical to
-                the serial path; only the kernel invocation pattern
-                changes.
-            max_batch: job cap per batched kernel call.
         """
-        if not batch_extension:
-            return [self.align(read, start_index + idx)
-                    for idx, read in enumerate(reads)]
-        return self._align_all_batched(reads, start_index, max_batch)
-
-    def _align_all_batched(self, reads: Sequence[Read], start_index: int,
-                           max_batch: int) -> List[ReadAlignment]:
-        """Seed + chain every read first, then extend all hits batched."""
-        from repro.runtime.batch import smith_waterman_batch
-
         staged = []
-        pairs: List[tuple] = []
-        with obs.span("seeding", "pipeline", reads=len(reads)):
-            for offset, read in enumerate(reads):
-                work = PhaseWork()
-                anchors = self.collect_anchors(read.sequence, work)
-                hits = self.build_hits(start_index + offset,
-                                       len(read.sequence), anchors)
-                work.hit_count = len(hits)
-                staged.append((read, hits, work))
-                for hit in hits:
-                    oriented = (seq.reverse_complement(read.sequence)
-                                if hit.reverse else read.sequence)
-                    pairs.append((oriented,
-                                  self.text[hit.ref_start:hit.ref_end]))
-        with obs.span("extension", "pipeline", jobs=len(pairs)):
-            locals_ = smith_waterman_batch(pairs, scoring=self.scoring,
-                                           max_batch=max_batch)
+        for offset, read in enumerate(reads):
+            work = PhaseWork()
+            with obs.span("align_read", "pipeline", read_id=read.read_id):
+                with obs.span("seeding", "pipeline"):
+                    anchors = self.collect_anchors(read.sequence, work)
+                with obs.span("chain", "pipeline", anchors=len(anchors)):
+                    hits = self.build_hits(start_index + offset,
+                                           len(read.sequence), anchors)
+            work.hit_count = len(hits)
+            staged.append((read, hits, work))
+        jobs = [(read.sequence, hit) for read, hits, _ in staged
+                for hit in hits]
+        with obs.span("extension", "pipeline", reads=len(reads),
+                      hits=len(jobs)):
+            alignments = iter(self.extend_hit(jobs))
         results = []
-        cursor = 0
         for read, hits, work in staged:
             best: Optional[Alignment] = None
-            for hit in hits:
-                local = locals_[cursor]
-                cursor += 1
-                work.extension_cells += local.cells
-                candidate = Alignment(
-                    score=local.score, cigar=local.cigar,
-                    read_start=local.read_start, read_end=local.read_end,
-                    ref_start=hit.ref_start + local.ref_start,
-                    ref_end=hit.ref_start + local.ref_end,
-                    reverse=hit.reverse, cells=local.cells)
+            for candidate in islice(alignments, len(hits)):
+                work.extension_cells += candidate.cells
                 if best is None or candidate.score > best.score:
                     best = candidate
             if best is not None and best.score <= 0:

@@ -188,24 +188,13 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
     from repro.align.sam import write_sam
 
+    from repro.runtime.sharded import ShardedRunner
+
     if args.index:
         _open_index_for(reference, args.index)  # fail fast on mismatch
-    if args.parallelism > 1:
-        from repro.runtime.sharded import ShardedRunner
-        runner = ShardedRunner(parallelism=args.parallelism,
-                               shard_size=args.shard_size)
-        results = runner.align(reference, reads,
-                               batch_extension=args.batch_extension,
-                               index_path=args.index)
-    else:
-        from repro.align.pipeline import SoftwareAligner
-        if args.index:
-            index = _open_index_for(reference, args.index).fmindex()
-            aligner = SoftwareAligner(reference, index=index)
-        else:
-            aligner = SoftwareAligner(reference)
-        results = aligner.align_all(reads,
-                                    batch_extension=args.batch_extension)
+    runner = ShardedRunner(parallelism=args.parallelism,
+                           shard_size=args.shard_size)
+    results = runner.align(reference, reads, index_path=args.index)
     report = evaluate(results, reference)
     print(f"mapped {report.mapped}/{report.total} reads "
           f"({report.mapped_fraction:.1%})")
@@ -315,7 +304,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
         queue_depth=args.queue_depth, workers=args.workers,
         request_timeout_s=args.request_timeout_ms / 1000.0,
-        batch_extension=not args.no_batch_extension,
         stats_interval_s=args.stats_interval,
         breaker_threshold=args.breaker_threshold,
         breaker_window_s=args.breaker_window,
@@ -556,6 +544,86 @@ def _add_trace_out(parser: argparse.ArgumentParser, help: str) -> None:
     parser.add_argument("--trace-out", metavar="FILE", help=help)
 
 
+def _checked(kind, rule: str, ok):
+    """An argparse ``type=`` that parses with ``kind`` and checks ``ok``.
+
+    A failed check is a usage error (exit 2) naming the flag, never a
+    traceback from whatever the value would have reached.
+    """
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse: "invalid int value: ..."
+    return parse
+
+
+_AT_LEAST_ONE = _checked(int, ">= 1", lambda v: v >= 1)
+_NON_NEGATIVE_INT = _checked(int, ">= 0", lambda v: v >= 0)
+_NON_NEGATIVE = _checked(float, ">= 0", lambda v: v >= 0)
+_POSITIVE = _checked(float, "positive", lambda v: v > 0)
+_FRACTION = _checked(float, "in [0, 1]", lambda v: 0 <= v <= 1)
+_PORT = _checked(int, "in [0, 65535]", lambda v: 0 <= v <= 65535)
+
+
+def _existing_file(text: str) -> str:
+    if not os.path.isfile(text):
+        raise argparse.ArgumentTypeError(f"no such file: {text}")
+    return text
+
+
+def _cache_dir(text: str) -> str:
+    parent = os.path.dirname(os.path.abspath(text)) or os.sep
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(
+            f"parent directory does not exist: {parent}")
+    return text
+
+
+#: Options several subcommands take, each declared once.
+_SHARED_OPTIONS = {
+    "--index": dict(type=_existing_file,
+                    help="prebuilt index store (repro index build); "
+                         "memory-mapped instead of rebuilding the FM-index"),
+    "--parallelism": dict(type=_AT_LEAST_ONE, default=1,
+                          help="fan work out over N worker processes"),
+    "--cache-dir": dict(type=_cache_dir,
+                        help="memoize genomes/indexes/read sets/workloads "
+                             "here"),
+    "--host": dict(default="127.0.0.1"),
+    "--port": dict(type=_PORT, default=7878,
+                   help="TCP port (0 = ephemeral)"),
+    "--unix-socket": dict(help="listen on a UNIX socket instead of TCP"),
+    "--workers": dict(type=_AT_LEAST_ONE, default=2,
+                      help="engine worker threads per server "
+                           "(one aligner each)"),
+    "--max-batch": dict(type=_AT_LEAST_ONE, default=64,
+                        help="dispatch a batch as soon as it reaches "
+                             "this size"),
+    "--max-wait-ms": dict(type=_NON_NEGATIVE, default=2.0,
+                          help="longest a lone request waits for "
+                               "batchmates"),
+    "--request-timeout-ms": dict(type=_NON_NEGATIVE, default=30_000.0,
+                                 help="per-request deadline (0 disables)"),
+}
+_LISTENER_OPTIONS = ("--host", "--port", "--unix-socket", "--workers",
+                     "--max-batch", "--max-wait-ms", "--request-timeout-ms")
+
+
+def _shared(*flags: str) -> List[argparse.ArgumentParser]:
+    """A fresh ``parents=`` list declaring the named shared options.
+
+    Fresh per subcommand because argparse shares a parent's action
+    objects with every child: one child's ``set_defaults`` would
+    otherwise change the others' defaults too.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag in flags:
+        parent.add_argument(flag, **_SHARED_OPTIONS[flag])
+    return [parent]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -563,10 +631,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a reference + reads")
-    p.add_argument("--length", type=int, default=100_000)
-    p.add_argument("--chromosomes", type=int, default=2)
+    p.add_argument("--length", type=_AT_LEAST_ONE, default=100_000)
+    p.add_argument("--chromosomes", type=_AT_LEAST_ONE, default=2)
     p.add_argument("--reads", type=int, default=500)
-    p.add_argument("--read-length", type=int, default=101)
+    p.add_argument("--read-length", type=_AT_LEAST_ONE, default=101)
     p.add_argument("--error-rate", type=float, default=0.001)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-prefix", required=True)
@@ -580,9 +648,9 @@ def build_parser() -> argparse.ArgumentParser:
         "build", help="serialize the FM-index of a FASTA reference")
     p.add_argument("--reference", required=True, help="FASTA to index")
     p.add_argument("--out", required=True, help="index store path (.idx)")
-    p.add_argument("--occ-interval", type=int, default=128,
+    p.add_argument("--occ-interval", type=_AT_LEAST_ONE, default=128,
                    help="Occ checkpoint spacing (paper: 128)")
-    p.add_argument("--sa-sample", type=int, default=1,
+    p.add_argument("--sa-sample", type=_AT_LEAST_ONE, default=1,
                    help="keep every Nth suffix-array entry (1 = full SA)")
     _add_trace_out(p, "write a Chrome trace of the build")
     p.set_defaults(func=_cmd_index_build)
@@ -595,80 +663,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="index store path")
     p.set_defaults(func=_cmd_index_verify)
 
-    p = sub.add_parser("align", help="align FASTQ reads to a FASTA reference")
+    p = sub.add_parser("align", help="align FASTQ reads to a FASTA reference",
+                       parents=_shared("--index", "--parallelism"))
     p.add_argument("--reference", required=True)
     p.add_argument("--reads", required=True)
     p.add_argument("--out", help="SAM output path")
-    p.add_argument("--index",
-                   help="prebuilt index store (repro index build); "
-                        "memory-mapped instead of rebuilding the FM-index")
     p.add_argument("--long", action="store_true",
                    help="use the long-read (chain-then-fill) pipeline")
-    p.add_argument("--parallelism", type=int, default=1,
-                   help="align shards in N worker processes")
-    p.add_argument("--shard-size", type=int, default=256,
-                   help="reads per shard for parallel alignment")
-    p.add_argument("--batch-extension", action="store_true",
-                   help="vectorize same-shaped extension jobs")
+    p.add_argument("--shard-size", type=_AT_LEAST_ONE, default=256,
+                   help="reads per shard: one worker task and one "
+                        "batched extension step")
     _add_trace_out(p, "write a Chrome trace of the pipeline stages")
     p.set_defaults(func=_cmd_align)
 
     p = sub.add_parser("accelerate",
-                       help="simulate NvWa vs the SUs+EUs baseline")
+                       help="simulate NvWa vs the SUs+EUs baseline",
+                       parents=_shared("--parallelism", "--cache-dir"))
     p.add_argument("--dataset", default="H.s.")
     p.add_argument("--reads", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reference", help="FASTA (with --reads-file)")
     p.add_argument("--reads-file", help="FASTQ (with --reference)")
-    p.add_argument("--parallelism", type=int, default=1,
-                   help="simulate configurations in N worker processes")
-    p.add_argument("--cache-dir",
-                   help="artifact cache for synthetic workloads")
     _add_trace_out(p, "write a Chrome trace incl. SU/EU busy intervals")
     p.set_defaults(func=_cmd_accelerate)
 
-    p = sub.add_parser("experiments", help="regenerate paper exhibits")
+    p = sub.add_parser("experiments", help="regenerate paper exhibits",
+                       parents=_shared("--parallelism", "--cache-dir"))
     p.add_argument("names", nargs="*",
                    help="exhibit keys (fig11, table2, ...); empty = all")
     p.add_argument("--quick", action="store_true")
     p.add_argument("--csv-dir", help="also write CSVs here")
-    p.add_argument("--parallelism", type=int, default=1,
-                   help="fan independent simulations over N workers")
-    p.add_argument("--cache-dir",
-                   help="memoize genomes/indexes/read sets/workloads here")
     p.set_defaults(func=_cmd_experiments)
 
     p = sub.add_parser("serve",
-                       help="run the online alignment service")
+                       help="run the online alignment service",
+                       parents=_shared("--index", *_LISTENER_OPTIONS))
     p.add_argument("--reference", required=True, help="FASTA to serve")
-    p.add_argument("--index",
-                   help="prebuilt index store (repro index build); each "
-                        "worker memory-maps it instead of rebuilding")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7878,
-                   help="TCP port (0 = ephemeral)")
-    p.add_argument("--unix-socket",
-                   help="serve on a UNIX socket instead of TCP")
-    p.add_argument("--max-batch", type=int, default=64,
-                   help="dispatch a batch as soon as it reaches this size")
-    p.add_argument("--max-wait-ms", type=float, default=2.0,
-                   help="longest a lone request waits for batchmates")
-    p.add_argument("--queue-depth", type=int, default=1024,
+    p.add_argument("--queue-depth", type=_AT_LEAST_ONE, default=1024,
                    help="admission bound; beyond it requests are rejected")
-    p.add_argument("--workers", type=int, default=2,
-                   help="engine worker threads (one aligner each)")
-    p.add_argument("--request-timeout-ms", type=float, default=30_000.0,
-                   help="per-request deadline (0 disables)")
-    p.add_argument("--no-batch-extension", action="store_true",
-                   help="disable the vectorized extension kernels")
     p.add_argument("--stats-interval", type=float, default=10.0,
                    help="seconds between stats log lines (0 disables)")
-    p.add_argument("--breaker-threshold", type=int, default=8,
+    p.add_argument("--breaker-threshold", type=_AT_LEAST_ONE, default=8,
                    help="worker crashes in the window before the circuit "
                         "breaker sheds new work with 'busy'")
-    p.add_argument("--breaker-window", type=float, default=10.0,
+    p.add_argument("--breaker-window", type=_POSITIVE, default=10.0,
                    help="sliding failure window seconds")
-    p.add_argument("--breaker-cooldown", type=float, default=2.0,
+    p.add_argument("--breaker-cooldown", type=_NON_NEGATIVE, default=2.0,
                    help="seconds in degraded mode before a half-open probe")
     p.add_argument("--fault-plan", choices=["ci-default", "soak", "none"],
                    help="arm seeded fault injection with this named plan")
@@ -680,48 +720,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster",
                        help="run a gateway + backend fleet (scatter/"
-                            "gather, failover, per-backend breakers)")
+                            "gather, failover, per-backend breakers)",
+                       parents=_shared("--index", *_LISTENER_OPTIONS))
+    p.set_defaults(port=7900)
     p.add_argument("--reference", required=True, help="FASTA to serve")
-    p.add_argument("--index",
-                   help="prebuilt full-reference index store; backends "
-                        "mmap-attach it (replicated mode only)")
-    p.add_argument("--shards", type=int, default=1,
+    p.add_argument("--shards", type=_AT_LEAST_ONE, default=1,
                    help="partition the reference over N shard groups "
                         "(scatter/gather when > 1)")
-    p.add_argument("--replicas", type=int, default=3,
+    p.add_argument("--replicas", type=_AT_LEAST_ONE, default=3,
                    help="backends per shard group")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7900,
-                   help="gateway TCP port (0 = ephemeral)")
-    p.add_argument("--unix-socket",
-                   help="gateway UNIX socket instead of TCP")
-    p.add_argument("--workers", type=int, default=2,
-                   help="engine worker threads per backend")
-    p.add_argument("--max-batch", type=int, default=64,
-                   help="per-backend batch size bound")
-    p.add_argument("--max-wait-ms", type=float, default=2.0,
-                   help="per-backend batch formation wait")
-    p.add_argument("--health-interval", type=float, default=0.5,
+    p.add_argument("--health-interval", type=_NON_NEGATIVE, default=0.5,
                    help="seconds between backend health pings; a "
                         "missed ping counts against the backend's "
                         "circuit breaker (0 disables the pings)")
-    p.add_argument("--request-timeout-ms", type=float, default=30_000.0,
-                   help="gateway per-request deadline (0 disables)")
-    p.add_argument("--default-budget-ms", type=float, default=0.0,
+    p.add_argument("--default-budget-ms", type=_NON_NEGATIVE, default=0.0,
                    help="deadline budget forwarded to the backends for "
                         "requests that do not carry budget_ms (0 = none)")
     p.add_argument("--no-auto-restart", action="store_true",
                    help="disable the self-healing monitor loop "
                         "(dead backends stay dead)")
-    p.add_argument("--monitor-interval", type=float, default=0.5,
+    p.add_argument("--monitor-interval", type=_POSITIVE, default=0.5,
                    help="seconds between supervisor liveness sweeps")
-    p.add_argument("--restart-backoff", type=float, default=0.25,
+    p.add_argument("--restart-backoff", type=_POSITIVE, default=0.25,
                    help="base restart backoff seconds (doubles per "
                         "rapid death, capped)")
-    p.add_argument("--crash-loop-threshold", type=int, default=5,
+    p.add_argument("--crash-loop-threshold", type=_AT_LEAST_ONE, default=5,
                    help="deaths inside the crash-loop window before a "
                         "backend is permanently ejected")
-    p.add_argument("--crash-loop-window", type=float, default=30.0,
+    p.add_argument("--crash-loop-window", type=_POSITIVE, default=30.0,
                    help="crash-loop detection window seconds")
     p.add_argument("--workdir",
                    help="scratch dir for shard FASTAs/indexes/logs/"
@@ -738,22 +764,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="FASTA to sample request reads from")
     p.add_argument("--reads-file",
                    help="FASTQ of requests (instead of sampling)")
-    p.add_argument("--requests", type=int, default=200)
-    p.add_argument("--concurrency", type=int, default=64,
+    p.add_argument("--requests", type=_AT_LEAST_ONE, default=200)
+    p.add_argument("--concurrency", type=_AT_LEAST_ONE, default=64,
                    help="closed-loop in-flight request bound")
     p.add_argument("--mode", choices=["closed", "open"], default="closed")
-    p.add_argument("--rate", type=float, default=200.0,
+    p.add_argument("--rate", type=_POSITIVE, default=200.0,
                    help="open-loop arrivals per second")
-    p.add_argument("--pair-fraction", type=float, default=0.0,
+    p.add_argument("--pair-fraction", type=_FRACTION, default=0.0,
                    help="fraction of requests that are read pairs")
     p.add_argument("--read-length", type=int, default=101)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--wait-ready", type=float, default=0.0,
                    help="retry the initial connect for this many seconds")
-    p.add_argument("--retries", type=int, default=0,
+    p.add_argument("--retries", type=_NON_NEGATIVE_INT, default=0,
                    help="per-request retries (reconnect on drops, back "
                         "off on busy/overloaded, idempotency-key dedup)")
-    p.add_argument("--budget-ms", type=float, default=None,
+    p.add_argument("--budget-ms", type=_POSITIVE, default=None,
                    help="per-request deadline budget carried on the "
                         "wire; backends shed expired queue waits with "
                         "'queue_timeout' instead of 'busy'")
@@ -766,20 +792,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chaos",
                        help="run the seeded fault-injection acceptance "
-                            "harness and gate on its invariants")
+                            "harness and gate on its invariants",
+                       parents=_shared("--parallelism"))
+    p.set_defaults(parallelism=2)
     p.add_argument("--fault-plan", default="ci-default",
                    choices=["ci-default", "soak", "cluster-restart",
                             "none"],
                    help="named fault plan to inject")
     p.add_argument("--seed", type=int, default=7,
                    help="fault schedule + retry jitter seed")
-    p.add_argument("--requests", type=int, default=24,
+    p.add_argument("--requests", type=_AT_LEAST_ONE, default=24,
                    help="loadgen requests per service phase")
-    p.add_argument("--pair-fraction", type=float, default=0.25,
+    p.add_argument("--pair-fraction", type=_FRACTION, default=0.25,
                    help="fraction of requests that are mate pairs")
-    p.add_argument("--parallelism", type=int, default=2,
-                   help="worker processes for the sharded phase")
-    p.add_argument("--cluster-backends", type=int, default=3,
+    p.add_argument("--cluster-backends", type=_NON_NEGATIVE_INT, default=3,
                    help="replicated gateway backends for the backend-"
                         "kill phase (0 skips the cluster phase)")
     _add_trace_out(p, "write a Chrome trace of the whole chaos run")
@@ -817,76 +843,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate(parser: argparse.ArgumentParser,
               args: argparse.Namespace) -> None:
-    """Reject bad knob values with a clear message, not a traceback."""
-    if getattr(args, "parallelism", 1) < 1:
-        parser.error(f"--parallelism must be >= 1, got {args.parallelism}")
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir is not None:
-        parent = os.path.dirname(os.path.abspath(cache_dir)) or os.sep
-        if not os.path.isdir(parent):
-            parser.error(
-                f"--cache-dir parent directory does not exist: {parent}")
-    if getattr(args, "command", None) == "loadgen":
-        if args.requests < 1:
-            parser.error(f"--requests must be >= 1, got {args.requests}")
-        if args.concurrency < 1:
-            parser.error(
-                f"--concurrency must be >= 1, got {args.concurrency}")
-        if not args.reads_file and not args.reference:
-            parser.error("loadgen needs --reference or --reads-file")
-        if args.retries < 0:
-            parser.error(f"--retries must be >= 0, got {args.retries}")
-        if args.budget_ms is not None and args.budget_ms <= 0:
-            parser.error(
-                f"--budget-ms must be positive, got {args.budget_ms}")
-    if getattr(args, "command", None) == "chaos":
-        if args.requests < 1:
-            parser.error(f"--requests must be >= 1, got {args.requests}")
-        if not 0.0 <= args.pair_fraction <= 1.0:
-            parser.error(f"--pair-fraction must be in [0, 1], "
-                         f"got {args.pair_fraction}")
-        if args.cluster_backends < 0:
-            parser.error(f"--cluster-backends must be >= 0, "
-                         f"got {args.cluster_backends}")
-    if getattr(args, "command", None) == "cluster":
-        for name in ("shards", "replicas", "workers", "max_batch",
-                     "crash_loop_threshold"):
-            value = getattr(args, name)
-            if value < 1:
-                flag = "--" + name.replace("_", "-")
-                parser.error(f"{flag} must be >= 1, got {value}")
-        if args.default_budget_ms < 0:
-            parser.error(f"--default-budget-ms must be >= 0, "
-                         f"got {args.default_budget_ms}")
-        if args.restart_backoff <= 0 or args.crash_loop_window <= 0:
-            parser.error("--restart-backoff and --crash-loop-window "
-                         "must be positive")
-        if args.monitor_interval <= 0:
-            parser.error(f"--monitor-interval must be positive, "
-                         f"got {args.monitor_interval}")
-        if args.index and args.shards > 1:
-            parser.error("--index applies to replicated mode only; "
-                         "sharded mode builds per-shard stores itself")
-    if (getattr(args, "command", None) == "obs"
-            and getattr(args, "obs_command", None) == "export"):
+    """Reject option combinations no single ``type=`` can check."""
+    command = getattr(args, "command", None)
+    if command == "loadgen" and not args.reads_file and not args.reference:
+        parser.error("loadgen needs --reference or --reads-file")
+    if command == "cluster" and args.index and args.shards > 1:
+        parser.error("--index applies to replicated mode only; "
+                     "sharded mode builds per-shard stores itself")
+    if command == "obs" and getattr(args, "obs_command", None) == "export":
         if not args.connect and not args.stats_json:
             parser.error("obs export needs --connect or --stats-json")
         if args.connect and args.stats_json:
             parser.error("obs export takes --connect or --stats-json, "
                          "not both")
-    if (getattr(args, "command", None) == "index"
-            and getattr(args, "index_command", None) == "build"):
-        if args.occ_interval < 1:
-            parser.error(
-                f"--occ-interval must be >= 1, got {args.occ_interval}")
-        if args.sa_sample < 1:
-            parser.error(f"--sa-sample must be >= 1, got {args.sa_sample}")
-    if getattr(args, "command", None) == "serve":
-        for name in ("max_batch", "queue_depth", "workers"):
-            value = getattr(args, name)
-            if value < 1:
-                flag = "--" + name.replace("_", "-")
-                parser.error(f"{flag} must be >= 1, got {value}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -12,7 +12,6 @@ from repro.extension.smith_waterman import (
     fill_matrices,
     fill_matrices_batch,
     fill_matrices_scalar,
-    score_only,
     smith_waterman,
 )
 from repro.extension.needleman_wunsch import needleman_wunsch
@@ -40,8 +39,7 @@ __all__ = [
     "BWA_MEM_SCORING", "DARWIN_SCORING", "ScoringScheme",
     "Alignment", "Cigar", "identity",
     "BatchDPMatrices", "alignment_from_matrices", "fill_matrices",
-    "fill_matrices_batch", "fill_matrices_scalar", "score_only",
-    "smith_waterman",
+    "fill_matrices_batch", "fill_matrices_scalar", "smith_waterman",
     "needleman_wunsch",
     "GACTResult", "gact_align",
     "BandedResult", "banded_global",

@@ -246,14 +246,3 @@ def alignment_from_matrices(matrices: DPMatrices, read_codes: np.ndarray,
                      read_start=i0, read_end=int(end[0]),
                      ref_start=j0, ref_end=int(end[1]),
                      cells=matrices.cells)
-
-
-def score_only(read, reference,
-               scoring: ScoringScheme = BWA_MEM_SCORING) -> int:
-    """Best local score without traceback (cheaper inner loop)."""
-    read_codes = seq.as_codes(read)
-    ref_codes = seq.as_codes(reference)
-    if read_codes.size == 0 or ref_codes.size == 0:
-        return 0
-    matrices = fill_matrices(read_codes, ref_codes, scoring)
-    return int(matrices.h.max())

@@ -18,7 +18,7 @@ the resilience substrate the service and runtime layers share:
   degraded mode; when worker crash rate trips it, new work is shed with
   ``busy`` instead of queueing onto a dying engine pool.
 - :mod:`repro.faults.injectors` — the shims (:class:`FaultyEngine`,
-  the relocated :class:`FlakyEngine`, :func:`corrupt_file`) and the
+  :class:`FlakyEngine`, :func:`corrupt_file`) and the
   :class:`IdempotencyCache` that makes client retries exactly-once.
 - :mod:`repro.faults.chaos` — the harness behind ``repro chaos``: runs
   serve + loadgen + the sharded runtime under a named plan and asserts

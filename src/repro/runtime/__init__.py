@@ -24,9 +24,9 @@ reference semantics:
   the fan-out used by the Fig 11/13/14 sweeps: independent
   ``(config, workload)`` simulations across workers, bit-identical to the
   serial loop.
-- :mod:`repro.runtime.batch` — a batch front-end to the extension kernels
-  that packs same-shaped seed-extension jobs into single vectorized
-  ``fill_matrices_batch`` calls.
+- :mod:`repro.runtime.batch` — the batch front-end every aligner call
+  extends its hits through: same-shaped seed-extension jobs are packed
+  into single vectorized ``fill_matrices_batch`` calls.
 
 The serial path stays the default-on reference everywhere: with
 ``parallelism=1`` and no cache directory, every caller behaves bit-
@@ -37,7 +37,7 @@ and corrupted cache entries are evicted and rebuilt rather than
 poisoning a run.
 """
 
-from repro.runtime.batch import ExtensionJob, smith_waterman_batch
+from repro.runtime.batch import smith_waterman_batch
 from repro.runtime.cache import ArtifactCache, CacheStats, open_cache
 from repro.runtime.artifacts import (
     cached_fm_index,
@@ -58,7 +58,6 @@ from repro.runtime.sweep import SimJob, SweepResult, simulate_many
 __all__ = [
     "ArtifactCache",
     "CacheStats",
-    "ExtensionJob",
     "ShardPlan",
     "ShardedReport",
     "ShardedRunner",

@@ -1,19 +1,22 @@
-"""Batch front-end to the extension kernels.
+"""Batch front-end to the extension kernels: Step ❸ of every alignment.
 
-Seed-extension jobs within one alignment run are highly shape-redundant:
-reads share a length, and the chaining step emits reference windows padded
-to near-constant sizes.  This module packs same-shaped jobs together and
-fills their DP matrices with single vectorized
-:func:`~repro.extension.smith_waterman.fill_matrices_batch` calls, so the
-per-row Python loop of the kernel is paid once per batch instead of once
-per job.  Tracebacks remain per-job (they are data-dependent walks), and
-results are bit-identical to calling
+:meth:`~repro.align.pipeline.SoftwareAligner.extend_hit` hands all of an
+``align_all`` call's hits to :func:`smith_waterman_batch`, so the
+in-process pipeline, the sharded runner and the service engine share this
+one extension path.  Hits within a call are highly shape-redundant: reads
+share a length, and the chaining step emits reference windows padded to
+near-constant sizes.  Same-shaped jobs are filled together by single
+vectorized :func:`~repro.extension.smith_waterman.fill_matrices_batch`
+calls, so the per-row Python loop of the kernel is paid once per batch
+instead of once per job; a shape seen once takes the scalar
+:func:`~repro.extension.smith_waterman.fill_matrices`, which is faster for
+a single job.  Tracebacks remain per-job (they are data-dependent walks),
+and results are bit-identical to calling
 :func:`~repro.extension.smith_waterman.smith_waterman` job by job.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,16 +36,6 @@ from repro.genome import sequence as seq
 DEFAULT_MAX_BATCH = 64
 
 
-@dataclass(frozen=True)
-class ExtensionJob:
-    """One seed-extension work item with its owner's identity."""
-
-    read_idx: int
-    hit_idx: int
-    query: str
-    reference: str
-
-
 def smith_waterman_batch(pairs: Sequence[Tuple[str, str]],
                          scoring: ScoringScheme = BWA_MEM_SCORING,
                          max_batch: int = DEFAULT_MAX_BATCH,
@@ -50,8 +43,8 @@ def smith_waterman_batch(pairs: Sequence[Tuple[str, str]],
     """Align every ``(query, reference)`` pair; results in input order.
 
     Pairs whose encoded shapes match are packed into shared
-    ``fill_matrices_batch`` calls (up to ``max_batch`` at a time);
-    odd-shaped singletons fall back to the scalar front-end.  Every result
+    ``fill_matrices_batch`` calls (up to ``max_batch`` at a time); a
+    job left alone in its chunk takes the scalar front-end.  Every result
     equals ``smith_waterman(query, reference, scoring)`` exactly.
     """
     if max_batch <= 0:
@@ -60,24 +53,22 @@ def smith_waterman_batch(pairs: Sequence[Tuple[str, str]],
     groups: Dict[Tuple[int, int], List[int]] = {}
     encoded: List[Tuple[np.ndarray, np.ndarray]] = []
     for idx, (query, reference) in enumerate(pairs):
-        query_codes = seq.as_codes(query)
-        ref_codes = seq.as_codes(reference)
-        encoded.append((query_codes, ref_codes))
-        shape = (query_codes.size, ref_codes.size)
+        codes = (seq.as_codes(query), seq.as_codes(reference))
+        encoded.append(codes)
+        shape = (codes[0].size, codes[1].size)
         if 0 in shape:
             # Degenerate jobs never reach the kernel; delegate directly.
-            results[idx] = smith_waterman(query, reference, scoring=scoring)
+            results[idx] = smith_waterman(*codes, scoring=scoring)
             continue
         groups.setdefault(shape, []).append(idx)
 
     for indices in groups.values():
-        if len(indices) == 1:
-            idx = indices[0]
-            query, reference = pairs[idx]
-            results[idx] = smith_waterman(query, reference, scoring=scoring)
-            continue
         for start in range(0, len(indices), max_batch):
             chunk = indices[start:start + max_batch]
+            if len(chunk) == 1:
+                results[chunk[0]] = smith_waterman(*encoded[chunk[0]],
+                                                   scoring=scoring)
+                continue
             query_stack = np.stack([encoded[i][0] for i in chunk])
             ref_stack = np.stack([encoded[i][1] for i in chunk])
             matrices = fill_matrices_batch(query_stack, ref_stack, scoring)
@@ -87,15 +78,3 @@ def smith_waterman_batch(pairs: Sequence[Tuple[str, str]],
                     scoring)
     # Every slot is filled exactly once (kernel, singleton, or degenerate).
     return results  # type: ignore[return-value]
-
-
-def extend_jobs(jobs: Sequence[ExtensionJob],
-                scoring: ScoringScheme = BWA_MEM_SCORING,
-                max_batch: int = DEFAULT_MAX_BATCH,
-                ) -> Dict[Tuple[int, int], Alignment]:
-    """Batched extension of identified jobs, keyed by (read, hit) index."""
-    alignments = smith_waterman_batch(
-        [(job.query, job.reference) for job in jobs],
-        scoring=scoring, max_batch=max_batch)
-    return {(job.read_idx, job.hit_idx): alignment
-            for job, alignment in zip(jobs, alignments)}

@@ -180,11 +180,9 @@ def _simulate_shard(payload: Tuple[int, NvWaConfig, Tuple[ReadTask, ...],
 # --------------------------------------------------------------------- #
 
 _WORKER_ALIGNER = None
-_WORKER_OPTIONS: Dict[str, Any] = {}
 
 
 def _init_align_worker(reference, aligner_kwargs: Dict[str, Any],
-                       batch_extension: bool, max_batch: int,
                        index_path: Optional[str] = None) -> None:
     """Pool initializer: build one aligner per worker process.
 
@@ -195,25 +193,19 @@ def _init_align_worker(reference, aligner_kwargs: Dict[str, Any],
     """
     from repro.align.pipeline import SoftwareAligner
 
-    global _WORKER_ALIGNER, _WORKER_OPTIONS
+    global _WORKER_ALIGNER
     aligner_kwargs = dict(aligner_kwargs)
     if index_path is not None and "index" not in aligner_kwargs:
         from repro.seeding.store import IndexStore
 
         aligner_kwargs["index"] = IndexStore.open(index_path).fmindex()
     _WORKER_ALIGNER = SoftwareAligner(reference, **aligner_kwargs)
-    _WORKER_OPTIONS = {"batch_extension": batch_extension,
-                       "max_batch": max_batch}
 
 
 def _align_shard(payload: Tuple[int, int, Sequence[Any]]
                  ) -> Tuple[int, List[Any]]:
     shard_id, start, reads = payload
-    results = _WORKER_ALIGNER.align_all(
-        reads, start_index=start,
-        batch_extension=_WORKER_OPTIONS["batch_extension"],
-        max_batch=_WORKER_OPTIONS["max_batch"])
-    return shard_id, results
+    return shard_id, _WORKER_ALIGNER.align_all(reads, start_index=start)
 
 
 def _guarded(fn: Callable[[Any], Any], payload: Tuple[bool, Any]) -> Any:
@@ -470,8 +462,6 @@ class ShardedRunner:
 
     def align(self, reference, reads: Sequence[Any],
               aligner_kwargs: Optional[Dict[str, Any]] = None,
-              batch_extension: bool = False,
-              max_batch: int = 64,
               index_path: Optional[str] = None) -> List[Any]:
         """Align ``reads`` against ``reference`` across shards.
 
@@ -484,6 +474,9 @@ class ShardedRunner:
         :mod:`repro.seeding.store`): every worker then attaches the
         memory-mapped index — one physical copy machine-wide — instead of
         rebuilding the FM-index per process, with bit-identical output.
+
+        Each shard is one ``align_all`` call, in the serial path too, so
+        the extension step holds one shard's hits at a time.
         """
         from repro.align.pipeline import SoftwareAligner
 
@@ -500,16 +493,15 @@ class ShardedRunner:
                     serial_kwargs["index"] = \
                         IndexStore.open(index_path).fmindex()
                 aligner = SoftwareAligner(reference, **serial_kwargs)
-                return aligner.align_all(reads,
-                                         batch_extension=batch_extension,
-                                         max_batch=max_batch)
+                return [result for start, end in bounds
+                        for result in aligner.align_all(reads[start:end],
+                                                        start_index=start)]
             payloads = [(shard_id, start, list(reads[start:end]))
                         for shard_id, (start, end) in enumerate(bounds)]
             shard_results = self._execute_shards(
                 _align_shard_guarded, payloads,
                 initializer=_init_align_worker,
-                initargs=(reference, aligner_kwargs,
-                          batch_extension, max_batch, index_path))
+                initargs=(reference, aligner_kwargs, index_path))
             shard_results.sort(key=lambda item: item[0])
             merged: List[Any] = []
             for _, results in shard_results:

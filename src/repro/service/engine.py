@@ -4,10 +4,10 @@ One :class:`AlignmentEngine` owns one :class:`~repro.align.pipeline.
 SoftwareAligner` (the expensive part is its FM-index, built once) plus a
 :class:`~repro.align.paired.PairedAligner` sharing it. ``execute`` takes
 the mixed batch the dynamic batcher assembled — single reads and pairs
-interleaved — routes all single reads through the vectorized extension
-path (``align_all(batch_extension=True)``, i.e. the
-:mod:`repro.runtime.batch` kernels), aligns pairs through the
-mate-rescue pipeline, and renders every result with
+interleaved — aligns all single reads in one ``align_all`` call, so
+their hits share the batch extension kernels of
+:mod:`repro.runtime.batch`, aligns pairs through the mate-rescue
+pipeline, and renders every result with
 :func:`repro.align.sam.sam_record`.
 
 Because the engine calls the *same* pipeline objects and the *same* SAM
@@ -51,10 +51,6 @@ class AlignmentEngine:
 
     Args:
         reference: genome every request is aligned to.
-        batch_extension: pack same-shaped extension jobs into vectorized
-            kernel calls (bit-identical results; this is where dynamic
-            batching buys throughput).
-        max_batch: job cap per vectorized kernel call.
         insert_mean / insert_sd: paired-library model for proper-pair
             detection and mate rescue.
         aligner_kwargs: forwarded to :class:`SoftwareAligner` (seeding
@@ -62,14 +58,10 @@ class AlignmentEngine:
     """
 
     def __init__(self, reference: ReferenceGenome,
-                 batch_extension: bool = True,
-                 max_batch: int = 64,
                  insert_mean: float = 400.0,
                  insert_sd: float = 50.0,
                  aligner_kwargs: Optional[Dict[str, Any]] = None):
         self.reference = reference
-        self.batch_extension = batch_extension
-        self.max_batch = max_batch
         self.aligner = SoftwareAligner(reference, **(aligner_kwargs or {}))
         self.paired = PairedAligner(reference, insert_mean=insert_mean,
                                     insert_sd=insert_sd,
@@ -82,8 +74,8 @@ class AlignmentEngine:
         """Align a mixed batch; payload dicts in request order.
 
         Single-read requests across the whole batch are aligned in one
-        ``align_all`` call so their extension jobs share vectorized
-        kernel invocations; pairs go through mate rescue individually
+        ``align_all`` call so their hits share vectorized kernel
+        invocations; pairs go through mate rescue individually
         (rescue is data-dependent and cheap relative to the mates'
         primary alignments).
         """
@@ -96,9 +88,7 @@ class AlignmentEngine:
                       pairs=len(requests) - len(singles)):
             if singles:
                 reads = [req.reads[0] for _, req in singles]
-                results = self.aligner.align_all(
-                    reads, batch_extension=self.batch_extension,
-                    max_batch=self.max_batch)
+                results = self.aligner.align_all(reads)
                 with obs.span("sam_emit", "pipeline",
                               records=len(results)):
                     for (idx, _), result in zip(singles, results):
@@ -138,8 +128,4 @@ class AlignmentEngine:
         }
 
 
-# Chaos wrappers (FlakyEngine, FaultyEngine) live in repro.faults; the
-# FlakyEngine re-export keeps the historical import path working.
-from repro.faults.injectors import FlakyEngine  # noqa: E402  (re-export)
-
-__all__ = ["AlignmentEngine", "EngineError", "FlakyEngine"]
+__all__ = ["AlignmentEngine", "EngineError"]

@@ -90,7 +90,6 @@ class ServerConfig:
     queue_depth: int = 1024
     workers: int = 2
     request_timeout_s: float = 30.0  # 0 disables
-    batch_extension: bool = True
     stats_interval_s: float = 10.0   # 0 disables the periodic log line
     max_retries: int = 2             # batch replays after a worker crash
     breaker_threshold: int = 8       # worker crashes in window → degraded
@@ -198,11 +197,7 @@ class AlignmentServer(NdjsonFrontEnd):
 
             store = IndexStore.open(self.config.index_path)
             aligner_kwargs = {"index": store.fmindex()}
-        return AlignmentEngine(
-            self.reference,
-            batch_extension=self.config.batch_extension,
-            max_batch=self.config.max_batch,
-            aligner_kwargs=aligner_kwargs)
+        return AlignmentEngine(self.reference, aligner_kwargs=aligner_kwargs)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -407,7 +402,6 @@ class AlignmentServer(NdjsonFrontEnd):
                 "queue_depth": cfg.queue_depth,
                 "workers": cfg.workers,
                 "request_timeout_s": cfg.request_timeout_s,
-                "batch_extension": cfg.batch_extension,
             },
             "batcher": self._batcher.stats.as_dict(),
             "breaker": self.breaker.as_dict(),

@@ -12,7 +12,6 @@ from repro.extension.scoring import BWA_MEM_SCORING, DARWIN_SCORING, ScoringSche
 from repro.extension.smith_waterman import (
     fill_matrices,
     fill_matrices_scalar,
-    score_only,
     smith_waterman,
 )
 
@@ -148,12 +147,6 @@ def test_property_fast_equals_scalar(read, ref, scheme):
     fast = fill_matrices(encode(read), encode(ref), scheme)
     slow = fill_matrices_scalar(encode(read), encode(ref), scheme)
     assert np.array_equal(fast.h, slow.h)
-
-
-@given(dna, dna)
-@settings(max_examples=50, deadline=None)
-def test_property_score_only_matches_full(read, ref):
-    assert score_only(read, ref) == smith_waterman(read, ref).score
 
 
 @given(dna, dna)

@@ -78,12 +78,6 @@ class TestFlakyEngine:
         with pytest.raises(OSError, match="infra death on call 1"):
             flaky.execute(["a"])
 
-    def test_reexported_from_service_engine(self):
-        """The relocation keeps the old import path working."""
-        from repro.service.engine import FlakyEngine as Relocated
-
-        assert Relocated is FlakyEngine
-
 
 class TestCorruptFile:
     def test_truncates_to_fraction(self, tmp_path):

@@ -11,14 +11,11 @@ from repro.extension.smith_waterman import (
     fill_matrices_batch,
     smith_waterman,
 )
-from repro.genome.sequence import as_codes
 from repro.genome.reads import ReadSimulator
 from repro.genome.reference import SyntheticReference
-from repro.runtime.batch import (
-    ExtensionJob,
-    extend_jobs,
-    smith_waterman_batch,
-)
+from repro.genome.sequence import as_codes
+from repro.runtime.batch import smith_waterman_batch
+from tests.align.test_extension_oracle import observed, oracle
 
 
 def random_seq(rng, length):
@@ -89,32 +86,17 @@ class TestBatchKernel:
                                 np.zeros((3, 4), dtype=np.int64),
                                 BWA_MEM_SCORING)
 
-    def test_extend_jobs_keys(self):
-        jobs = [ExtensionJob(read_idx=3, hit_idx=0, query="ACGTACGT",
-                             reference="ACGTACGTAA"),
-                ExtensionJob(read_idx=3, hit_idx=1, query="ACGTACGT",
-                             reference="TTACGTACGT")]
-        results = extend_jobs(jobs)
-        assert set(results) == {(3, 0), (3, 1)}
-        assert results[(3, 0)].score == \
-            smith_waterman("ACGTACGT", "ACGTACGTAA").score
-
 
 class TestBatchedPipeline:
     def test_align_all_batched_equals_serial(self):
+        """``align_all`` extends through the batch kernel; every read
+        must come out as one scalar ``smith_waterman`` per hit would."""
         reference = SyntheticReference(length=20_000, chromosomes=1,
                                        seed=31).build()
         reads = ReadSimulator(reference, read_length=101,
                               seed=32).simulate(40)
         aligner = SoftwareAligner(reference)
-        serial = aligner.align_all(reads)
-        batched = aligner.align_all(reads, batch_extension=True, max_batch=8)
-        for a, b in zip(serial, batched):
-            assert a.aligned == b.aligned
-            if a.aligned:
-                assert a.best.score == b.best.score
-                assert a.best.cigar == b.best.cigar
-                assert a.best.ref_start == b.best.ref_start
-                assert a.best.reverse == b.best.reverse
-            assert a.work.extension_cells == b.work.extension_cells
-            assert a.work.hit_count == b.work.hit_count
+        serial = [oracle(aligner, read, idx)[:3]
+                  for idx, read in enumerate(reads)]
+        batched = [observed(r) for r in aligner.align_all(reads)]
+        assert batched == serial

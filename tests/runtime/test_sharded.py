@@ -11,6 +11,7 @@ import io
 
 import pytest
 
+from repro.align.pipeline import SoftwareAligner
 from repro.align.sam import parse_sam, write_sam
 from repro.core import baseline
 from repro.core.accelerator import NvWaAccelerator
@@ -24,6 +25,7 @@ from repro.runtime.sharded import (
     ShardedRunner,
     default_parallelism,
 )
+from tests.align.test_extension_oracle import observed, oracle
 
 
 @pytest.fixture(scope="module")
@@ -165,13 +167,15 @@ class TestAlignmentDeterminism:
         assert records_serial == records_parallel
 
     def test_batched_extension_matches_serial(self, substrate):
+        """Sharded workers extend through the batch kernel; a 2-worker
+        run must match one scalar ``smith_waterman`` per hit."""
         reference, reads = substrate
-        plain = ShardedRunner(parallelism=1, shard_size=30).align(
-            reference, reads)
+        aligner = SoftwareAligner(reference)
+        serial = [oracle(aligner, read, idx)[:3]
+                  for idx, read in enumerate(reads)]
         batched = ShardedRunner(parallelism=2, shard_size=30).align(
-            reference, reads, batch_extension=True, max_batch=16)
-        assert self.sam_text(reference, plain) == \
-            self.sam_text(reference, batched)
+            reference, reads)
+        assert [observed(r) for r in batched] == serial
 
     def test_spawn_workers_given_a_queried_index(self, substrate):
         """Spawned workers unpickle the caller's index from the pool

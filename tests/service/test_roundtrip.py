@@ -45,7 +45,7 @@ class TestSingleReadEquivalence:
             return [resp["sam"][0] for resp in responses]
 
         batched = run(collect(max_batch=64))
-        unbatched = run(collect(max_batch=1, batch_extension=False))
+        unbatched = run(collect(max_batch=1))
         assert batched == unbatched
 
     def test_parse_back_round_trip(self, service_reference, service_reads):

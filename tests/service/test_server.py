@@ -5,8 +5,9 @@ import time
 
 import pytest
 
+from repro.faults import FlakyEngine
 from repro.service.client import AsyncServiceClient, ServiceError
-from repro.service.engine import AlignmentEngine, FlakyEngine
+from repro.service.engine import AlignmentEngine
 from repro.service.server import AlignmentServer, ServerConfig
 from tests.service.helpers import run, serving
 

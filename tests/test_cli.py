@@ -285,13 +285,15 @@ class TestInputValidation:
             main(["align", "--reference", f"{dataset}.fa",
                   "--reads", f"{dataset}.fq", "--parallelism", "0"])
         assert excinfo.value.code == 2
-        assert "--parallelism must be >= 1" in capsys.readouterr().err
+        assert "argument --parallelism: must be >= 1" in \
+            capsys.readouterr().err
 
     def test_negative_parallelism_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["experiments", "fig07", "--quick",
                   "--parallelism", "-3"])
-        assert "--parallelism must be >= 1" in capsys.readouterr().err
+        assert "argument --parallelism: must be >= 1" in \
+            capsys.readouterr().err
 
     def test_missing_cache_dir_parent_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -299,7 +301,8 @@ class TestInputValidation:
                   "/nonexistent-root/deeper/cache"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "--cache-dir parent directory does not exist" in err
+        assert "argument --cache-dir: parent directory does not exist" \
+            in err
 
     def test_existing_cache_dir_parent_accepted(self, tmp_path, capsys):
         code = main(["accelerate", "--dataset", "C.e.", "--reads", "100",
@@ -316,7 +319,45 @@ class TestInputValidation:
         with pytest.raises(SystemExit):
             main(["serve", "--reference", f"{dataset}.fa",
                   "--max-batch", "0"])
-        assert "--max-batch must be >= 1" in capsys.readouterr().err
+        assert "argument --max-batch: must be >= 1" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["align", "--parallelism", "2", "--shard-size", "0"],
+        ["align", "--index", "no-such.idx"],
+        ["serve", "--max-wait-ms", "-1"],
+        ["serve", "--max-wait-ms", "nan"],
+        ["serve", "--request-timeout-ms", "-5"],
+        ["serve", "--port", "70000"],
+        ["serve", "--workers", "0"],
+        ["serve", "--breaker-window", "0"],
+        ["cluster", "--request-timeout-ms", "-1"],
+        ["cluster", "--max-batch", "0"],
+        ["chaos", "--parallelism", "0"],
+        ["loadgen", "--connect", "127.0.0.1:1", "--pair-fraction", "2"],
+        ["loadgen", "--connect", "127.0.0.1:1", "--rate", "0"],
+        ["simulate", "--out-prefix", "unused", "--length", "0"],
+        ["simulate", "--out-prefix", "unused", "--read-length", "0"],
+    ], ids=" ".join)
+    def test_bad_value_is_a_usage_error(self, dataset, argv):
+        """Exit 2 with a usage message, never a traceback. Run as a
+        subprocess so a value that slipped through (a server that would
+        start, a kernel that would raise) cannot hang or hide."""
+        import subprocess
+        import sys
+
+        inputs = {"align": ["--reference", f"{dataset}.fa",
+                            "--reads", f"{dataset}.fq"],
+                  "serve": ["--reference", f"{dataset}.fa"],
+                  "cluster": ["--reference", f"{dataset}.fa"],
+                  "loadgen": ["--reference", f"{dataset}.fa"]}
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", *argv,
+             *inputs.get(argv[0], [])],
+            capture_output=True, text=True, env=_module_env(), timeout=60)
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert f"error: argument {argv[-2]}:" in result.stderr
 
 
 @contextlib.contextmanager
