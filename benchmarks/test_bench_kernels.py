@@ -19,6 +19,8 @@ from repro.seeding.minimizers import minimizers
 from repro.seeding.smem import find_smems
 from repro.seeding.store import IndexStore, write_index_store
 from repro.extension.bitap import myers_distances
+from repro.extension.gact import gact_align
+from repro.extension.needleman_wunsch import needleman_wunsch
 from repro.extension.smith_waterman import smith_waterman
 
 
@@ -77,6 +79,29 @@ def test_bench_smith_waterman_101bp(benchmark, text):
 
     alignment = benchmark(lambda: smith_waterman(read, window))
     assert alignment.score == 101
+
+
+def test_bench_needleman_wunsch_101bp(benchmark, text):
+    read = text[3000:3101]
+    window = text[2990:3101]
+
+    alignment = benchmark(lambda: needleman_wunsch(read, window))
+    assert alignment.cigar.query_length == 101
+    assert alignment.cigar.reference_length == 111
+
+
+def test_bench_gact_long_read(benchmark, text):
+    """GACT over a 2 kbp long read with 2 % substitutions: 128-base
+    tiles, 32-base overlap, one global fill per tile."""
+    rng = random.Random(10)
+    ref = text[10_000:12_000]
+    query = "".join(rng.choice("ACGT".replace(base, "")) if rng.random() < 0.02
+                    else base for base in ref)
+
+    result = benchmark.pedantic(lambda: gact_align(query, ref),
+                                rounds=3, iterations=1)
+    assert result.alignment.cigar.query_length == 2000
+    assert result.tiles >= 2000 // 96
 
 
 def test_bench_myers_101_vs_1k(benchmark, text):

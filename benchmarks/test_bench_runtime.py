@@ -113,7 +113,7 @@ def test_bench_batch_extension_kernel(benchmark):
              for _ in range(64)]
 
     results = benchmark.pedantic(
-        lambda: smith_waterman_batch(pairs, max_batch=64),
+        lambda: smith_waterman_batch(pairs),
         rounds=1, iterations=1)
     assert len(results) == 64
     assert all(r.cells == 64 * 96 for r in results)

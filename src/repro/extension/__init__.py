@@ -7,10 +7,8 @@ from repro.extension.scoring import (
 )
 from repro.extension.alignment import Alignment, Cigar, identity
 from repro.extension.smith_waterman import (
-    BatchDPMatrices,
     alignment_from_matrices,
     fill_matrices,
-    fill_matrices_batch,
     fill_matrices_scalar,
     smith_waterman,
 )
@@ -38,8 +36,8 @@ from repro.extension.systolic import (
 __all__ = [
     "BWA_MEM_SCORING", "DARWIN_SCORING", "ScoringScheme",
     "Alignment", "Cigar", "identity",
-    "BatchDPMatrices", "alignment_from_matrices", "fill_matrices",
-    "fill_matrices_batch", "fill_matrices_scalar", "smith_waterman",
+    "alignment_from_matrices", "fill_matrices", "fill_matrices_scalar",
+    "smith_waterman",
     "needleman_wunsch",
     "GACTResult", "gact_align",
     "BandedResult", "banded_global",

@@ -16,9 +16,9 @@ import numpy as np
 
 from repro.genome import sequence as seq
 from repro.extension.alignment import Alignment, Cigar
+from repro.extension.needleman_wunsch import traceback_global
 from repro.extension.scoring import BWA_MEM_SCORING, ScoringScheme
-
-_NEG = -(10 ** 12)
+from repro.extension.smith_waterman import NEG, DPMatrices
 
 
 @dataclass(frozen=True)
@@ -57,23 +57,24 @@ def banded_global(read, reference, band_width: int = 16,
     fill = _fill_scalar if use_scalar else _fill_vectorised
     h, e, f, cells = fill(read_codes, ref_codes, band_width, scoring)
 
-    if h[m, n] <= _NEG // 2:
+    if h[m, n] <= NEG // 2:
         raise ValueError("no in-band global path exists")
 
-    cigar, touched = _traceback(h, e, f, read_codes, ref_codes, scoring,
-                                band_width)
+    cigar = traceback_global(DPMatrices(h, e, f), read_codes, ref_codes,
+                             scoring)
     alignment = Alignment(score=int(h[m, n]), cigar=cigar,
                           read_start=0, read_end=m, ref_start=0, ref_end=n,
                           cells=cells)
     return BandedResult(alignment=alignment, band_width=band_width,
-                        touched_band_edge=touched)
+                        touched_band_edge=_touches_band_edge(cigar,
+                                                             band_width))
 
 
 def _init_matrices(m, n, band_width, scoring):
     ext = scoring.gap_extend
-    h = np.full((m + 1, n + 1), _NEG, dtype=np.int64)
-    e = np.full((m + 1, n + 1), _NEG, dtype=np.int64)
-    f = np.full((m + 1, n + 1), _NEG, dtype=np.int64)
+    h = np.full((m + 1, n + 1), NEG, dtype=np.int64)
+    e = np.full((m + 1, n + 1), NEG, dtype=np.int64)
+    f = np.full((m + 1, n + 1), NEG, dtype=np.int64)
     h[0, 0] = 0
     for j in range(1, min(n, band_width) + 1):
         h[0, j] = f[0, j] = scoring.gap_open + ext * j
@@ -135,44 +136,19 @@ def _fill_vectorised(read_codes, ref_codes, band_width, scoring):
     return h, e, f, cells
 
 
-def _traceback(h, e, f, read_codes, ref_codes, scoring, band_width):
-    ext = scoring.gap_extend
-    open_ext = scoring.gap_open + scoring.gap_extend
-    i, j = read_codes.size, ref_codes.size
-    ops = []
-    state = "H"
-    touched = False
-    while i > 0 or j > 0:
-        if abs(j - i) == band_width:
-            touched = True
-        if state == "H":
-            if i == 0:
-                state = "F"
-            elif j == 0:
-                state = "E"
-            else:
-                diag = h[i - 1, j - 1] + scoring.substitution(
-                    int(read_codes[i - 1]), int(ref_codes[j - 1]))
-                if h[i, j] == diag:
-                    ops.append("M")
-                    i -= 1
-                    j -= 1
-                elif h[i, j] == e[i, j]:
-                    state = "E"
-                elif h[i, j] == f[i, j]:
-                    state = "F"
-                else:  # pragma: no cover
-                    raise AssertionError("banded traceback stuck")
-        elif state == "E":
-            ops.append("I")
-            from_h = h[i - 1, j] + open_ext == e[i, j]
-            i -= 1
-            if from_h or i == 0:
-                state = "H"
-        else:
-            ops.append("D")
-            from_h = h[i, j - 1] + open_ext == f[i, j]
-            j -= 1
-            if from_h or j == 0:
-                state = "H"
-    return Cigar.from_ops(reversed(ops)), touched
+def _touches_band_edge(cigar: Cigar, band_width: int) -> bool:
+    """Whether the path visits a cell with ``|j - i| == band_width``.
+
+    Matches keep the diagonal offset ``j - i``; each gap run moves it
+    monotonically, so checking the offset after every op covers every
+    cell the path visits.
+    """
+    offset = 0
+    for length, op in cigar.ops:
+        if op == "I":
+            offset -= length
+        elif op == "D":
+            offset += length
+        if abs(offset) == band_width:
+            return True
+    return False

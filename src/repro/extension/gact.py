@@ -23,11 +23,9 @@ import numpy as np
 
 from repro.genome import sequence as seq
 from repro.extension.alignment import Alignment, Cigar
-from repro.extension.needleman_wunsch import (
-    fill_matrices_global,
-    traceback_global,
-)
+from repro.extension.needleman_wunsch import traceback_global
 from repro.extension.scoring import BWA_MEM_SCORING, ScoringScheme
+from repro.extension.smith_waterman import fill_matrices
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,8 @@ def gact_align(query, reference, tile_size: int = 128, overlap: int = 32,
             committed.append((m - q_pos, "I"))
             q_pos = m
             break
-        matrices = fill_matrices_global(tile_q, tile_r, scoring)
+        matrices = fill_matrices(tile_q[None], tile_r[None], scoring,
+                                 local=False)[0]
         max_cells = max(max_cells, matrices.cells)
         cigar = traceback_global(matrices, tile_q, tile_r, scoring)
         ops, q_used, r_used = _commit_ops(cigar, commit_budget,

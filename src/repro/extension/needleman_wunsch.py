@@ -12,43 +12,7 @@ import numpy as np
 from repro.genome import sequence as seq
 from repro.extension.alignment import Alignment, Cigar
 from repro.extension.scoring import BWA_MEM_SCORING, ScoringScheme
-from repro.extension.smith_waterman import NEG, DPMatrices
-
-
-def fill_matrices_global(read_codes: np.ndarray, ref_codes: np.ndarray,
-                         scoring: ScoringScheme) -> DPMatrices:
-    """Vectorised affine global fill (no zero floor, gap-initialised rims)."""
-    m, n = read_codes.size, ref_codes.size
-    sub = scoring.substitution_matrix()
-    open_ext = scoring.gap_open + scoring.gap_extend
-    ext = scoring.gap_extend
-
-    h = np.full((m + 1, n + 1), NEG, dtype=np.int64)
-    e = np.full((m + 1, n + 1), NEG, dtype=np.int64)
-    f = np.full((m + 1, n + 1), NEG, dtype=np.int64)
-    h[0, 0] = 0
-    if n:
-        rim = scoring.gap_open + ext * np.arange(1, n + 1, dtype=np.int64)
-        h[0, 1:] = rim
-        f[0, 1:] = rim
-    col_rim = scoring.gap_open + ext * np.arange(1, m + 1, dtype=np.int64)
-    h[1:, 0] = col_rim
-    e[1:, 0] = col_rim
-
-    cols = np.arange(1, n + 1, dtype=np.int64)
-    for i in range(1, m + 1):
-        sub_row = sub[read_codes[i - 1], ref_codes]
-        e[i, 1:] = np.maximum(e[i - 1, 1:] + ext, h[i - 1, 1:] + open_ext)
-        h_no_f = np.maximum(h[i - 1, :-1] + sub_row, e[i, 1:])
-        # Prefix-max F including the k = 0 rim cell.
-        prefix = np.empty(n, dtype=np.int64)
-        prefix[0] = h[i, 0] + scoring.gap_open
-        if n > 1:
-            prefix[1:] = h_no_f[:-1] + scoring.gap_open - ext * cols[:-1]
-        running = np.maximum.accumulate(prefix)
-        f[i, 1:] = running + ext * cols
-        h[i, 1:] = np.maximum(h_no_f, f[i, 1:])
-    return DPMatrices(h, e, f)
+from repro.extension.smith_waterman import DPMatrices, fill_matrices
 
 
 def traceback_global(matrices: DPMatrices, read_codes: np.ndarray,
@@ -113,7 +77,8 @@ def needleman_wunsch(read, reference,
         return Alignment(score=scoring.gap_cost(read_codes.size), cigar=cigar,
                          read_start=0, read_end=read_codes.size, ref_start=0,
                          ref_end=0)
-    matrices = fill_matrices_global(read_codes, ref_codes, scoring)
+    matrices = fill_matrices(read_codes[None], ref_codes[None], scoring,
+                             local=False)[0]
     cigar = traceback_global(matrices, read_codes, ref_codes, scoring)
     return Alignment(score=int(matrices.h[-1, -1]), cigar=cigar,
                      read_start=0, read_end=read_codes.size,

@@ -1,11 +1,16 @@
 """Affine-gap Smith-Waterman local alignment (Gotoh), with traceback.
 
 This is the paper's Step-❸ algorithm ("compute-intensive approximate
-matching") and the functional model behind the systolic-array EUs. Matrix
-fill is vectorised row-by-row with the lazy-F formulation (the horizontal
-gap chain is resolved with a prefix-max, which is exact for affine gaps
-because opening a second gap can never beat extending the first); a scalar
-reference implementation is kept alongside for property testing.
+matching") and the functional model behind the systolic-array EUs. Like
+the EUs, which all run one Smith-Waterman datapath in different shapes,
+the software has one vectorised fill, :func:`fill_matrices`: it stacks
+``k`` same-shaped pairs, and its ``local`` flag picks Smith-Waterman or
+the Needleman-Wunsch edges used by :mod:`~repro.extension.needleman_wunsch`
+and :mod:`~repro.extension.gact`.  Rows are filled with the lazy-F
+formulation (the horizontal gap chain is resolved with a prefix-max, which
+is exact for affine gaps because opening a second gap can never beat
+extending the first); a scalar reference implementation is kept alongside
+as the oracle.
 
 Cell counts are exposed because the EU cycle model charges Formula 3 latency
 for exactly the cells this code fills — functional and timing layers share
@@ -15,7 +20,7 @@ one definition of "work".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -41,103 +46,65 @@ class DPMatrices:
         return (rows - 1) * (cols - 1)
 
 
-def fill_matrices(read_codes: np.ndarray, ref_codes: np.ndarray,
-                  scoring: ScoringScheme) -> DPMatrices:
-    """Vectorised affine-gap local-alignment matrix fill.
+def fill_matrices(read_stack: np.ndarray, ref_stack: np.ndarray,
+                  scoring: ScoringScheme,
+                  local: bool = True) -> List[DPMatrices]:
+    """Vectorised affine-gap fill of ``k`` same-shaped alignments at once.
 
-    Rows index the read (query), columns the reference. ``E`` tracks gaps
-    that consume read bases (CIGAR I), ``F`` gaps that consume reference
-    bases (CIGAR D).
+    ``read_stack`` is ``(k, m)`` and ``ref_stack`` ``(k, n)`` (``k = 1``
+    for a single pair); one :class:`DPMatrices` per pair comes back, each a
+    view into one stacked fill.  Rows index the read (query), columns the
+    reference. ``E`` tracks gaps that consume read bases (CIGAR I), ``F``
+    gaps that consume reference bases (CIGAR D).
+
+    ``local`` selects Smith-Waterman (zero edges, zero floor) or
+    Needleman-Wunsch (gap-cost edges, no floor).  Substitution scores are
+    looked up once into a ``(k, m, n)`` table; the row loop then runs once
+    with every elementwise operation broadcast over the batch axis, so its
+    Python-level cost is paid once per call, not once per pair.
     """
-    m, n = read_codes.size, ref_codes.size
-    sub = scoring.substitution_matrix()
-    open_ext = scoring.gap_open + scoring.gap_extend
-    ext = scoring.gap_extend
-
-    h = np.zeros((m + 1, n + 1), dtype=np.int64)
-    e = np.full((m + 1, n + 1), NEG, dtype=np.int64)
-    f = np.full((m + 1, n + 1), NEG, dtype=np.int64)
-
-    cols = np.arange(1, n + 1, dtype=np.int64)
-    for i in range(1, m + 1):
-        sub_row = sub[read_codes[i - 1], ref_codes]
-        e[i, 1:] = np.maximum(e[i - 1, 1:] + ext, h[i - 1, 1:] + open_ext)
-        h_no_f = np.maximum(h[i - 1, :-1] + sub_row, e[i, 1:])
-        np.maximum(h_no_f, 0, out=h_no_f)
-        # Lazy F: F[j] = max_{k<j} H[k] + open + (j-k)·ext, via prefix max of
-        # H[k] + open - k·ext evaluated over this row's H-without-F values.
-        shifted = np.empty(n, dtype=np.int64)
-        shifted[0] = NEG
-        if n > 1:
-            transformed = h_no_f[:-1] + scoring.gap_open - ext * cols[:-1]
-            shifted[1:] = np.maximum.accumulate(transformed)
-        f[i, 1:] = shifted + ext * cols
-        # Column 0 can also open a deletion chain (H[i,0] == 0 everywhere).
-        f[i, 1:] = np.maximum(f[i, 1:],
-                              scoring.gap_open + ext * cols)
-        h[i, 1:] = np.maximum(h_no_f, f[i, 1:])
-    return DPMatrices(h, e, f)
-
-
-@dataclass
-class BatchDPMatrices:
-    """DP state for a batch of same-shaped alignments, stacked on axis 0."""
-
-    h: np.ndarray
-    e: np.ndarray
-    f: np.ndarray
-
-    def __len__(self) -> int:
-        return self.h.shape[0]
-
-    def __getitem__(self, idx: int) -> DPMatrices:
-        return DPMatrices(self.h[idx], self.e[idx], self.f[idx])
-
-
-def fill_matrices_batch(read_codes: np.ndarray, ref_codes: np.ndarray,
-                        scoring: ScoringScheme) -> BatchDPMatrices:
-    """Vectorised fill of ``k`` same-shaped alignments in one pass.
-
-    ``read_codes`` is ``(k, m)`` and ``ref_codes`` ``(k, n)``; the row
-    recurrence of :func:`fill_matrices` runs once with every elementwise
-    operation broadcast over the batch axis, so the Python-level loop cost
-    is amortised across the whole batch.  Each slice ``[j]`` is
-    bit-identical to ``fill_matrices(read_codes[j], ref_codes[j],
-    scoring)`` — the batch front-end (:mod:`repro.runtime.batch`) relies on
-    this to keep batched extension exact.
-    """
-    if read_codes.ndim != 2 or ref_codes.ndim != 2:
-        raise ValueError("batch fill expects 2-D (batch, length) arrays")
-    if read_codes.shape[0] != ref_codes.shape[0]:
+    if read_stack.ndim != 2 or ref_stack.ndim != 2:
+        raise ValueError("fill expects 2-D (batch, length) arrays")
+    if read_stack.shape[0] != ref_stack.shape[0]:
         raise ValueError("batch sizes differ between read and reference")
-    k, m = read_codes.shape
-    n = ref_codes.shape[1]
-    sub = scoring.substitution_matrix()
-    open_ext = scoring.gap_open + scoring.gap_extend
+    k, m = read_stack.shape
+    n = ref_stack.shape[1]
+    open_ = scoring.gap_open
     ext = scoring.gap_extend
+    sub = scoring.substitution_matrix()
+    # One byte per table cell whenever the scores fit (every shipped
+    # scheme); the adds below widen to int64 either way.
+    if -128 <= scoring.mismatch and scoring.match <= 127:
+        sub = sub.astype(np.int8)
+    sub_table = sub[read_stack[:, :, None], ref_stack[:, None, :]]
 
-    h = np.zeros((k, m + 1, n + 1), dtype=np.int64)
+    h = np.full((k, m + 1, n + 1), 0 if local else NEG, dtype=np.int64)
     e = np.full((k, m + 1, n + 1), NEG, dtype=np.int64)
     f = np.full((k, m + 1, n + 1), NEG, dtype=np.int64)
+    if not local:
+        h[:, 0, 0] = 0
+        h[:, 0, 1:] = f[:, 0, 1:] = open_ + ext * np.arange(1, n + 1)
+        h[:, 1:, 0] = e[:, 1:, 0] = open_ + ext * np.arange(1, m + 1)
 
-    cols = np.arange(1, n + 1, dtype=np.int64)
+    # Lazy F: F[j] = max_{c<j} H[c] + open + (j-c)·ext, a running max of
+    # H[c] + open - c·ext; column 0 seeds it with H[i,0] + open, which is
+    # the local clamp (H = 0) and the global edge term alike.
+    ext_cols = ext * np.arange(1, n + 1, dtype=np.int64)
+    f_bias = open_ - ext * np.arange(n, dtype=np.int64)
+    prefix = np.empty((k, n), dtype=np.int64)
     for i in range(1, m + 1):
-        sub_row = sub[read_codes[:, i - 1][:, None], ref_codes]
         e[:, i, 1:] = np.maximum(e[:, i - 1, 1:] + ext,
-                                 h[:, i - 1, 1:] + open_ext)
-        h_no_f = np.maximum(h[:, i - 1, :-1] + sub_row, e[:, i, 1:])
-        np.maximum(h_no_f, 0, out=h_no_f)
-        shifted = np.empty((k, n), dtype=np.int64)
-        shifted[:, 0] = NEG
-        if n > 1:
-            transformed = (h_no_f[:, :-1] + scoring.gap_open
-                           - ext * cols[:-1])
-            shifted[:, 1:] = np.maximum.accumulate(transformed, axis=1)
-        f[:, i, 1:] = shifted + ext * cols
-        f[:, i, 1:] = np.maximum(f[:, i, 1:],
-                                 scoring.gap_open + ext * cols)
-        h[:, i, 1:] = np.maximum(h_no_f, f[:, i, 1:])
-    return BatchDPMatrices(h, e, f)
+                                 h[:, i - 1, 1:] + (open_ + ext))
+        h_no_f = np.maximum(h[:, i - 1, :-1] + sub_table[:, i - 1],
+                            e[:, i, 1:])
+        if local:
+            np.maximum(h_no_f, 0, out=h_no_f)
+        prefix[:, 0] = h[:, i, 0] + f_bias[0]
+        np.add(h_no_f[:, :-1], f_bias[1:], out=prefix[:, 1:])
+        np.maximum.accumulate(prefix, axis=1, out=f[:, i, 1:])
+        f[:, i, 1:] += ext_cols
+        np.maximum(h_no_f, f[:, i, 1:], out=h[:, i, 1:])
+    return [DPMatrices(h[j], e[j], f[j]) for j in range(k)]
 
 
 def fill_matrices_scalar(read_codes: np.ndarray, ref_codes: np.ndarray,
@@ -221,8 +188,11 @@ def smith_waterman(read, reference, scoring: ScoringScheme = BWA_MEM_SCORING,
     if read_codes.size == 0 or ref_codes.size == 0:
         return Alignment(score=0, cigar=Cigar(()), read_start=0, read_end=0,
                          ref_start=0, ref_end=0, cells=0)
-    fill = fill_matrices_scalar if use_scalar else fill_matrices
-    matrices = fill(read_codes, ref_codes, scoring)
+    if use_scalar:
+        matrices = fill_matrices_scalar(read_codes, ref_codes, scoring)
+    else:
+        matrices = fill_matrices(read_codes[None], ref_codes[None],
+                                 scoring)[0]
     return alignment_from_matrices(matrices, read_codes, ref_codes, scoring)
 
 

@@ -1,17 +1,15 @@
-"""Batch front-end to the extension kernels: Step ❸ of every alignment.
+"""Batch front-end to the extension kernel: Step ❸ of every alignment.
 
 :meth:`~repro.align.pipeline.SoftwareAligner.extend_hit` hands all of an
 ``align_all`` call's hits to :func:`smith_waterman_batch`, so the
 in-process pipeline, the sharded runner and the service engine share this
 one extension path.  Hits within a call are highly shape-redundant: reads
 share a length, and the chaining step emits reference windows padded to
-near-constant sizes.  Same-shaped jobs are filled together by single
-vectorized :func:`~repro.extension.smith_waterman.fill_matrices_batch`
-calls, so the per-row Python loop of the kernel is paid once per batch
-instead of once per job; a shape seen once takes the scalar
-:func:`~repro.extension.smith_waterman.fill_matrices`, which is faster for
-a single job.  Tracebacks remain per-job (they are data-dependent walks),
-and results are bit-identical to calling
+near-constant sizes.  Each shape group is filled by single vectorized
+:func:`~repro.extension.smith_waterman.fill_matrices` calls (a shape seen
+once is a stack of one), so the per-row Python loop of the kernel is paid
+once per group instead of once per job.  Tracebacks remain per-job (they
+are data-dependent walks), and results are bit-identical to calling
 :func:`~repro.extension.smith_waterman.smith_waterman` job by job.
 """
 
@@ -25,7 +23,7 @@ from repro.extension.alignment import Alignment
 from repro.extension.scoring import BWA_MEM_SCORING, ScoringScheme
 from repro.extension.smith_waterman import (
     alignment_from_matrices,
-    fill_matrices_batch,
+    fill_matrices,
     smith_waterman,
 )
 from repro.genome import sequence as seq
@@ -38,17 +36,13 @@ DEFAULT_MAX_BATCH = 64
 
 def smith_waterman_batch(pairs: Sequence[Tuple[str, str]],
                          scoring: ScoringScheme = BWA_MEM_SCORING,
-                         max_batch: int = DEFAULT_MAX_BATCH,
                          ) -> List[Alignment]:
     """Align every ``(query, reference)`` pair; results in input order.
 
-    Pairs whose encoded shapes match are packed into shared
-    ``fill_matrices_batch`` calls (up to ``max_batch`` at a time); a
-    job left alone in its chunk takes the scalar front-end.  Every result
-    equals ``smith_waterman(query, reference, scoring)`` exactly.
+    Pairs whose encoded shapes match share ``fill_matrices`` calls (up to
+    ``DEFAULT_MAX_BATCH`` at a time).  Every result equals
+    ``smith_waterman(query, reference, scoring)`` exactly.
     """
-    if max_batch <= 0:
-        raise ValueError(f"max_batch must be positive, got {max_batch}")
     results: List[Optional[Alignment]] = [None] * len(pairs)
     groups: Dict[Tuple[int, int], List[int]] = {}
     encoded: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -63,18 +57,13 @@ def smith_waterman_batch(pairs: Sequence[Tuple[str, str]],
         groups.setdefault(shape, []).append(idx)
 
     for indices in groups.values():
-        for start in range(0, len(indices), max_batch):
-            chunk = indices[start:start + max_batch]
-            if len(chunk) == 1:
-                results[chunk[0]] = smith_waterman(*encoded[chunk[0]],
-                                                   scoring=scoring)
-                continue
+        for start in range(0, len(indices), DEFAULT_MAX_BATCH):
+            chunk = indices[start:start + DEFAULT_MAX_BATCH]
             query_stack = np.stack([encoded[i][0] for i in chunk])
             ref_stack = np.stack([encoded[i][1] for i in chunk])
-            matrices = fill_matrices_batch(query_stack, ref_stack, scoring)
-            for slot, idx in enumerate(chunk):
+            filled = fill_matrices(query_stack, ref_stack, scoring)
+            for matrices, idx in zip(filled, chunk):
                 results[idx] = alignment_from_matrices(
-                    matrices[slot], encoded[idx][0], encoded[idx][1],
-                    scoring)
-    # Every slot is filled exactly once (kernel, singleton, or degenerate).
+                    matrices, encoded[idx][0], encoded[idx][1], scoring)
+    # Every slot is filled exactly once (kernel or degenerate).
     return results  # type: ignore[return-value]

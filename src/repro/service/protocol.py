@@ -96,11 +96,19 @@ SHED_ERRORS = (ERR_OVERLOADED, ERR_BUSY, ERR_QUEUE_TIMEOUT)
 #: Defensive cap on one NDJSON line (64 MB would mean a pathological read).
 MAX_LINE_BYTES = 8 * 1024 * 1024
 
-_VALID_BASES = frozenset("ACGTN")
+#: Exactly the bases :func:`repro.genome.sequence.encode` accepts: a read
+#: the aligner cannot encode is a ``bad_request``, not a worker crash.
+_VALID_BASES = frozenset("ACGT")
 
 
 class ProtocolError(ValueError):
-    """Raised when a line cannot be decoded into a valid request."""
+    """Raised when a line cannot be decoded into a valid request.
+
+    ``request_id`` is the line's ``id`` once that much has decoded, so the
+    ``bad_request`` answer reaches the caller waiting on that id.
+    """
+
+    request_id: Optional[str] = None
 
 
 class ServiceError(RuntimeError):
@@ -174,6 +182,14 @@ def decode_request(line: str) -> AlignRequest:
     request_id = obj.get("id")
     if not isinstance(request_id, str) or not request_id:
         raise ProtocolError("request id must be a non-empty string")
+    try:
+        return _decode_fields(obj, request_id)
+    except ProtocolError as exc:
+        exc.request_id = request_id
+        raise
+
+
+def _decode_fields(obj: Dict[str, Any], request_id: str) -> AlignRequest:
     rtype = obj.get("type")
     if rtype not in REQUEST_TYPES:
         raise ProtocolError(

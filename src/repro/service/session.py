@@ -243,8 +243,8 @@ class NdjsonFrontEnd:
         except ProtocolError as exc:
             self.metrics.inc("bad_requests_total")
             self.metrics.inc("errors_total")
-            await self._write(conn, error_response(None, ERR_BAD_REQUEST,
-                                                   str(exc)))
+            await self._write(conn, error_response(
+                exc.request_id, ERR_BAD_REQUEST, str(exc)))
             return
         if request.type == TYPE_PING:
             await self._write(conn, success_response(request.request_id,

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.genome.reads import ErrorModel
 from repro.genome.sequence import random_sequence
 from repro.extension.banded import banded_global
 from repro.extension.needleman_wunsch import needleman_wunsch
@@ -65,6 +66,25 @@ class TestBandedGlobal:
         read = random_sequence(60, random.Random(4))
         result = banded_global(read, read, band_width=4)
         assert result.alignment.cells <= 60 * (2 * 4 + 1)
+
+
+# touched_band_edge of the 50 seeded narrow-band pairs below, recorded
+# with the banded module's own traceback before it shared the global one.
+PINNED_TOUCHES = "00001100110001011100000010000110000101011010110001"
+
+
+def test_touched_band_edge_pinned():
+    model = ErrorModel(substitution_rate=0.05, insertion_rate=0.03,
+                       deletion_rate=0.03)
+    touches = []
+    for seed in range(50):
+        rng = random.Random(seed)
+        ref = random_sequence(rng.randint(20, 60), rng)
+        read = model.apply(ref, rng)
+        band = max(1, abs(len(read) - len(ref)) + rng.randint(0, 3))
+        result = banded_global(read, ref, band_width=band)
+        touches.append("1" if result.touched_band_edge else "0")
+    assert "".join(touches) == PINNED_TOUCHES
 
 
 class TestVectorisedAgainstScalar:

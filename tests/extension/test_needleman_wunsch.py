@@ -13,8 +13,12 @@ from repro.extension.scoring import BWA_MEM_SCORING, ScoringScheme
 dna = st.text(alphabet="ACGT", min_size=1, max_size=25)
 
 
-def oracle_global_score(read, ref, scheme):
-    """Plain dict-based affine global DP, written independently."""
+def oracle_global_matrices(read, ref, scheme):
+    """Plain dict-based affine global DP, written independently.
+
+    Returns the ``H``, ``E`` and ``F`` dicts keyed by ``(i, j)``; a cell
+    missing from ``E``/``F`` is minus infinity.
+    """
     neg = float("-inf")
     m, n = len(read), len(ref)
     H = {(0, 0): 0}
@@ -34,7 +38,11 @@ def oracle_global_score(read, ref, scheme):
                             H[(i, j - 1)] + scheme.gap_open + scheme.gap_extend)
             sub = scheme.match if read[i - 1] == ref[j - 1] else scheme.mismatch
             H[(i, j)] = max(H[(i - 1, j - 1)] + sub, E[(i, j)], F[(i, j)])
-    return H[(m, n)]
+    return H, E, F
+
+
+def oracle_global_score(read, ref, scheme):
+    return oracle_global_matrices(read, ref, scheme)[0][(len(read), len(ref))]
 
 
 class TestKnownCases:

@@ -126,7 +126,8 @@ class TestVectorizedAgainstScalar:
         rng = random.Random(seed)
         read = random_sequence(rng.randint(1, 60), rng)
         ref = random_sequence(rng.randint(1, 60), rng)
-        fast = fill_matrices(encode(read), encode(ref), BWA_MEM_SCORING)
+        fast = fill_matrices(encode(read)[None], encode(ref)[None],
+                             BWA_MEM_SCORING)[0]
         slow = fill_matrices_scalar(encode(read), encode(ref), BWA_MEM_SCORING)
         assert np.array_equal(fast.h, slow.h)
         assert np.array_equal(fast.e, slow.e)
@@ -144,7 +145,7 @@ class TestVectorizedAgainstScalar:
 @given(dna, dna, schemes)
 @settings(max_examples=80, deadline=None)
 def test_property_fast_equals_scalar(read, ref, scheme):
-    fast = fill_matrices(encode(read), encode(ref), scheme)
+    fast = fill_matrices(encode(read)[None], encode(ref)[None], scheme)[0]
     slow = fill_matrices_scalar(encode(read), encode(ref), scheme)
     assert np.array_equal(fast.h, slow.h)
 

@@ -1,21 +1,27 @@
-"""Batched extension kernels are bit-identical to the serial kernel."""
+"""The batch front-end and the one fill kernel match per-pair oracles."""
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.align.pipeline import SoftwareAligner
-from repro.extension.scoring import BWA_MEM_SCORING
+from repro.extension.scoring import BWA_MEM_SCORING, ScoringScheme
 from repro.extension.smith_waterman import (
+    NEG,
     fill_matrices,
-    fill_matrices_batch,
+    fill_matrices_scalar,
     smith_waterman,
 )
 from repro.genome.reads import ReadSimulator
 from repro.genome.reference import SyntheticReference
 from repro.genome.sequence import as_codes
-from repro.runtime.batch import smith_waterman_batch
+from repro.runtime.batch import DEFAULT_MAX_BATCH, smith_waterman_batch
 from tests.align.test_extension_oracle import observed, oracle
+from tests.extension.test_needleman_wunsch import oracle_global_matrices
+
+SCHEMES = (BWA_MEM_SCORING,
+           ScoringScheme(match=2, mismatch=-7, gap_open=-5, gap_extend=-3))
 
 
 def random_seq(rng, length):
@@ -24,30 +30,32 @@ def random_seq(rng, length):
 
 class TestBatchKernel:
     def test_matches_serial_on_random_pairs(self):
+        """Mixed shapes: mostly singleton groups, plus one group of 66
+        that spans two kernel chunks and one empty pair."""
         rng = random.Random(5)
         pairs = []
         for _ in range(40):
             m = rng.randrange(8, 60)
             n = rng.randrange(8, 80)
             pairs.append((random_seq(rng, m), random_seq(rng, n)))
-        batched = smith_waterman_batch(pairs, max_batch=8)
+        pairs += [(random_seq(rng, 30), random_seq(rng, 45))
+                  for _ in range(DEFAULT_MAX_BATCH + 2)]
+        pairs.append(("", ""))
+        rng.shuffle(pairs)
+        batched = smith_waterman_batch(pairs)
         for (query, target), got in zip(pairs, batched):
-            want = smith_waterman(query, target)
-            assert got.score == want.score
-            assert got.cigar == want.cigar
-            assert got.read_start == want.read_start
-            assert got.ref_start == want.ref_start
-            assert got.cells == want.cells
+            assert got == smith_waterman(query, target)
 
     def test_same_shape_grouping_matches(self):
-        """All same-shaped: exercises the vectorized path end to end."""
+        """65+ same-shaped pairs cross the chunk boundary; one singleton
+        shape and one empty pair ride along."""
         rng = random.Random(6)
         pairs = [(random_seq(rng, 24), random_seq(rng, 32))
-                 for _ in range(12)]
-        batched = smith_waterman_batch(pairs, max_batch=4)
-        serial = [smith_waterman(q, t) for q, t in pairs]
-        assert [b.score for b in batched] == [s.score for s in serial]
-        assert [b.cigar for b in batched] == [s.cigar for s in serial]
+                 for _ in range(DEFAULT_MAX_BATCH + 3)]
+        pairs.insert(17, (random_seq(rng, 11), random_seq(rng, 13)))
+        pairs.insert(40, ("ACGT", ""))
+        assert smith_waterman_batch(pairs) == [smith_waterman(q, t)
+                                               for q, t in pairs]
 
     def test_empty_and_singleton(self):
         assert smith_waterman_batch([]) == []
@@ -62,29 +70,56 @@ class TestBatchKernel:
             assert got.score == want.score
             assert got.cigar == want.cigar
 
-    def test_fill_matrices_batch_slices_match(self):
-        rng = random.Random(7)
-        import numpy as np
-        reads = np.stack([as_codes(random_seq(rng, 16)) for _ in range(5)])
-        refs = np.stack([as_codes(random_seq(rng, 20)) for _ in range(5)])
-        batch = fill_matrices_batch(reads, refs, BWA_MEM_SCORING)
-        assert len(batch) == 5
-        for k in range(5):
-            single = fill_matrices(reads[k], refs[k], BWA_MEM_SCORING)
-            assert (batch[k].h == single.h).all()
-            assert (batch[k].e == single.e).all()
-            assert (batch[k].f == single.f).all()
 
-    def test_fill_matrices_batch_validation(self):
-        import numpy as np
+class TestFillKernel:
+    """``fill_matrices`` is the one vectorised fill: every slice of a
+    stack, k = 1 or more, equals an independent per-pair oracle."""
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_local_slices_match_scalar_oracle(self, k):
+        rng = random.Random(7 + k)
+        for scheme in SCHEMES:
+            reads = np.stack([as_codes(random_seq(rng, 16))
+                              for _ in range(k)])
+            refs = np.stack([as_codes(random_seq(rng, 20))
+                             for _ in range(k)])
+            filled = fill_matrices(reads, refs, scheme)
+            assert len(filled) == k
+            for j in range(k):
+                single = fill_matrices_scalar(reads[j], refs[j], scheme)
+                assert (filled[j].h == single.h).all()
+                assert (filled[j].e == single.e).all()
+                assert (filled[j].f == single.f).all()
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_global_slices_match_independent_oracle(self, k):
+        rng = random.Random(17 + k)
+        for scheme in SCHEMES:
+            reads = [random_seq(rng, 13) for _ in range(k)]
+            refs = [random_seq(rng, 9) for _ in range(k)]
+            filled = fill_matrices(np.stack([as_codes(r) for r in reads]),
+                                   np.stack([as_codes(r) for r in refs]),
+                                   scheme, local=False)
+            for j in range(k):
+                want = oracle_global_matrices(reads[j], refs[j], scheme)
+                got = filled[j]
+                for i in range(14):
+                    for c in range(10):
+                        for mat, oracle in zip((got.h, got.e, got.f), want):
+                            if (i, c) in oracle:
+                                assert mat[i, c] == oracle[(i, c)]
+                            else:
+                                assert mat[i, c] <= NEG // 2
+
+    def test_fill_matrices_validation(self):
         with pytest.raises(ValueError):
-            fill_matrices_batch(np.zeros(4, dtype=np.int64),
-                                np.zeros((1, 4), dtype=np.int64),
-                                BWA_MEM_SCORING)
+            fill_matrices(np.zeros(4, dtype=np.int64),
+                          np.zeros((1, 4), dtype=np.int64),
+                          BWA_MEM_SCORING)
         with pytest.raises(ValueError):
-            fill_matrices_batch(np.zeros((2, 4), dtype=np.int64),
-                                np.zeros((3, 4), dtype=np.int64),
-                                BWA_MEM_SCORING)
+            fill_matrices(np.zeros((2, 4), dtype=np.int64),
+                          np.zeros((3, 4), dtype=np.int64),
+                          BWA_MEM_SCORING)
 
 
 class TestBatchedPipeline:

@@ -76,8 +76,26 @@ def test_sequence_uppercased():
                 "mate1": {"read_id": "a", "sequence": "ACGT"}}),
 ])
 def test_bad_requests_rejected(line):
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError) as excinfo:
         decode_request(line)
+    assert excinfo.value.request_id in (None, "1")
+
+
+@pytest.mark.parametrize("line", [
+    json.dumps({"id": "1", "type": "align", "read_id": "r",
+                "sequence": "ACGNT"}),
+    json.dumps({"id": "1", "type": "align", "read_id": "r",
+                "sequence": "acgnt"}),
+    json.dumps({"id": "1", "type": "align_pair",
+                "mate1": {"read_id": "a", "sequence": "ACGT"},
+                "mate2": {"read_id": "b", "sequence": "NNNN"}}),
+])
+def test_non_acgt_bases_rejected(line):
+    """The wire admits exactly what the aligner can encode, and the
+    refusal names the request it answers."""
+    with pytest.raises(ProtocolError, match="invalid bases") as excinfo:
+        decode_request(line)
+    assert excinfo.value.request_id == "1"
 
 
 def test_oversized_line_rejected():

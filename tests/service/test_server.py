@@ -1,6 +1,7 @@
 """Server robustness: admission control, timeouts, crash recovery, drain."""
 
 import asyncio
+import json
 import time
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.faults import FlakyEngine
 from repro.service.client import AsyncServiceClient, ServiceError
 from repro.service.engine import AlignmentEngine
+from repro.service.protocol import decode_response
 from repro.service.server import AlignmentServer, ServerConfig
 from tests.service.helpers import run, serving
 
@@ -136,6 +138,43 @@ def test_worker_crash_replays_batch(service_reference, service_reads):
 
     flaky = FlakyEngine(AlignmentEngine(service_reference),
                         crash_on_calls=(1,))
+    run(scenario())
+
+
+def test_unencodable_reads_are_bad_requests(service_reference,
+                                            service_reads):
+    """Reads carrying ``N`` are refused at decode with ``bad_request``
+    addressed to their own id: they never reach a worker, so no crash is
+    counted, the breaker stays closed and a clean read is served right
+    after."""
+    async def scenario():
+        from repro.genome.reads import Read
+        async with serving(service_reference) as (server, client):
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           server.port)
+            for idx in range(3):
+                line = json.dumps({"id": f"n{idx}", "type": "align",
+                                   "read_id": f"n{idx}",
+                                   "sequence": "ACGT" * 10 + "N"})
+                writer.write(line.encode() + b"\n")
+            await writer.drain()
+            for idx in range(3):
+                response = decode_response(
+                    (await reader.readline()).decode())
+                assert response["id"] == f"n{idx}"
+                assert not response["ok"]
+                assert response["error"] == "bad_request"
+            writer.close()
+            with pytest.raises(ServiceError) as excinfo:
+                await asyncio.wait_for(
+                    client.align(Read(read_id="n3", sequence="ACGTN")), 5)
+            assert excinfo.value.code == "bad_request"
+            assert "sam" in await client.align(service_reads[0])
+            counters = server.metrics.snapshot()["counters"]
+            assert counters["bad_requests_total"] == 4
+            assert counters.get("worker_crashes_total", 0) == 0
+            assert counters.get("breaker_opens_total", 0) == 0
+            assert server.breaker.state == "closed"
     run(scenario())
 
 
