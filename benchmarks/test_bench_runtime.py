@@ -119,6 +119,27 @@ def test_bench_batch_extension_kernel(benchmark):
     assert all(r.cells == 64 * 96 for r in results)
 
 
+def test_bench_repeat_read_extension(benchmark):
+    """One ``pipe_repeat``-shaped read: 7 hits of 101 x 149, of which
+    only 2 (read, window) pairs are distinct, in one batch call.  Filling
+    every hit instead (one stack of 7 and 7 tracebacks) took about 1.75x
+    as long on a 2-vCPU x86 container."""
+    import random
+
+    from repro.genome.sequence import random_sequence
+    from repro.runtime.batch import smith_waterman_batch
+
+    rng = random.Random(17)
+    read = random_sequence(101, rng)
+    windows = [random_sequence(24, rng) + read + random_sequence(24, rng)
+               for _ in range(2)]
+    pairs = [(read, windows[hit % 3 == 2]) for hit in range(7)]
+
+    results = benchmark(lambda: smith_waterman_batch(pairs))
+    assert len({id(r) for r in results}) == 2
+    assert all(r.score == 101 and r.cells == 101 * 149 for r in results)
+
+
 @pytest.mark.parametrize("parallelism", [1])
 def test_bench_simulate_many_serial(benchmark, bench_workload, parallelism):
     """The sweep engine itself at the bench workload, serial reference."""

@@ -148,8 +148,12 @@ class SoftwareAligner:
 
         ``jobs`` are ``(read_seq, hit)`` pairs; all of them go through one
         :func:`~repro.runtime.batch.smith_waterman_batch` call, which
-        stacks same-shaped windows into shared vectorized fills.
-        Alignments come back in job order, in reference coordinates.
+        stacks same-shaped windows into shared vectorized fills and
+        fills each distinct (oriented read, window) pair once per call
+        (repeat copies share one fill and traceback; no state is kept
+        between calls).  Each result is rebased onto its own hit's
+        window, so alignments come back in job order, in reference
+        coordinates.
         """
         pairs = [(seq.reverse_complement(read_seq) if hit.reverse
                   else read_seq, self.text[hit.ref_start:hit.ref_end])

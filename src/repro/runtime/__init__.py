@@ -25,8 +25,9 @@ reference semantics:
   ``(config, workload)`` simulations across workers, bit-identical to the
   serial loop.
 - :mod:`repro.runtime.batch` — the batch front-end every aligner call
-  extends its hits through: same-shaped seed-extension jobs are stacked
-  into single calls of the vectorized ``fill_matrices`` kernel.
+  extends its hits through: each distinct (read, window) pair is filled
+  once per call, and same-shaped jobs are stacked into single calls of
+  the vectorized ``fill_matrices`` kernel.
 
 The serial path stays the default-on reference everywhere: with
 ``parallelism=1`` and no cache directory, every caller behaves bit-

@@ -3,13 +3,23 @@
 :meth:`~repro.align.pipeline.SoftwareAligner.extend_hit` hands all of an
 ``align_all`` call's hits to :func:`smith_waterman_batch`, so the
 in-process pipeline, the sharded runner and the service engine share this
-one extension path.  Hits within a call are highly shape-redundant: reads
-share a length, and the chaining step emits reference windows padded to
-near-constant sizes.  Each shape group is filled by single vectorized
-:func:`~repro.extension.smith_waterman.fill_matrices` calls (a shape seen
-once is a stack of one), so the per-row Python loop of the kernel is paid
-once per group instead of once per job.  Tracebacks remain per-job (they
-are data-dependent walks), and results are bit-identical to calling
+one extension path.  Hits within a call are highly redundant:
+
+- *Identical pairs.*  A read that chains to several byte-identical repeat
+  copies, or the same read sent twice in one shard or served batch, asks
+  for the same (oriented read, reference window) alignment more than
+  once.  Each distinct pair of encoded code bytes is filled and traced
+  back once per call, and every duplicate shares its frozen
+  :class:`~repro.extension.alignment.Alignment` (callers rebase it onto
+  their own window).  Nothing is kept between calls.
+- *Shapes.*  Reads share a length, and the chaining step emits reference
+  windows padded to near-constant sizes.  Each shape group is filled by
+  single vectorized :func:`~repro.extension.smith_waterman.fill_matrices`
+  calls (a shape seen once is a stack of one), so the per-row Python loop
+  of the kernel is paid once per group instead of once per job.
+
+Tracebacks remain per distinct pair (they are data-dependent walks), and
+results are bit-identical to calling
 :func:`~repro.extension.smith_waterman.smith_waterman` job by job.
 """
 
@@ -19,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.extension.alignment import Alignment
 from repro.extension.scoring import BWA_MEM_SCORING, ScoringScheme
 from repro.extension.smith_waterman import (
@@ -39,31 +50,47 @@ def smith_waterman_batch(pairs: Sequence[Tuple[str, str]],
                          ) -> List[Alignment]:
     """Align every ``(query, reference)`` pair; results in input order.
 
-    Pairs whose encoded shapes match share ``fill_matrices`` calls (up to
-    ``DEFAULT_MAX_BATCH`` at a time).  Every result equals
-    ``smith_waterman(query, reference, scoring)`` exactly.
+    Pairs with equal encoded codes (strings or code arrays, either case)
+    are filled once per call and share one result object; no state is
+    kept between calls.  Distinct pairs whose shapes match share
+    ``fill_matrices`` calls (up to ``DEFAULT_MAX_BATCH`` at a time).
+    Every result equals ``smith_waterman(query, reference, scoring)``
+    exactly.  With tracing on, an ``extension_fill`` span records how
+    many of the ``pairs`` were ``distinct`` and the ``cells_filled``.
     """
-    results: List[Optional[Alignment]] = [None] * len(pairs)
-    groups: Dict[Tuple[int, int], List[int]] = {}
-    encoded: List[Tuple[np.ndarray, np.ndarray]] = []
-    for idx, (query, reference) in enumerate(pairs):
-        codes = (seq.as_codes(query), seq.as_codes(reference))
-        encoded.append(codes)
-        shape = (codes[0].size, codes[1].size)
-        if 0 in shape:
-            # Degenerate jobs never reach the kernel; delegate directly.
-            results[idx] = smith_waterman(*codes, scoring=scoring)
-            continue
-        groups.setdefault(shape, []).append(idx)
+    with obs.span("extension_fill", "runtime", pairs=len(pairs)) as span:
+        results: List[Optional[Alignment]] = [None] * len(pairs)
+        # Index of the first job with each job's codes: the job whose
+        # alignment it takes.
+        source: List[int] = []
+        first: Dict[Tuple[bytes, bytes], int] = {}
+        groups: Dict[Tuple[int, int], List[int]] = {}
+        encoded: List[Tuple[np.ndarray, np.ndarray]] = []
+        for idx, (query, reference) in enumerate(pairs):
+            codes = (seq.as_codes(query), seq.as_codes(reference))
+            encoded.append(codes)
+            source.append(first.setdefault(
+                (codes[0].tobytes(), codes[1].tobytes()), idx))
+            if source[idx] != idx:
+                continue
+            shape = (codes[0].size, codes[1].size)
+            if 0 in shape:
+                # Degenerate jobs never reach the kernel; delegate directly.
+                results[idx] = smith_waterman(*codes, scoring=scoring)
+                continue
+            groups.setdefault(shape, []).append(idx)
 
-    for indices in groups.values():
-        for start in range(0, len(indices), DEFAULT_MAX_BATCH):
-            chunk = indices[start:start + DEFAULT_MAX_BATCH]
-            query_stack = np.stack([encoded[i][0] for i in chunk])
-            ref_stack = np.stack([encoded[i][1] for i in chunk])
-            filled = fill_matrices(query_stack, ref_stack, scoring)
-            for matrices, idx in zip(filled, chunk):
-                results[idx] = alignment_from_matrices(
-                    matrices, encoded[idx][0], encoded[idx][1], scoring)
-    # Every slot is filled exactly once (kernel or degenerate).
-    return results  # type: ignore[return-value]
+        for indices in groups.values():
+            for start in range(0, len(indices), DEFAULT_MAX_BATCH):
+                chunk = indices[start:start + DEFAULT_MAX_BATCH]
+                query_stack = np.stack([encoded[i][0] for i in chunk])
+                ref_stack = np.stack([encoded[i][1] for i in chunk])
+                filled = fill_matrices(query_stack, ref_stack, scoring)
+                for matrices, idx in zip(filled, chunk):
+                    results[idx] = alignment_from_matrices(
+                        matrices, encoded[idx][0], encoded[idx][1], scoring)
+        span.set_args(distinct=len(first), cells_filled=sum(
+            m * n * len(indices) for (m, n), indices in groups.items()))
+        # Every first occurrence is filled exactly once (kernel or
+        # degenerate); duplicates take its object.
+        return [results[i] for i in source]  # type: ignore[misc]

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.align.pipeline import SoftwareAligner
 from repro.extension.scoring import BWA_MEM_SCORING, ScoringScheme
 from repro.extension.smith_waterman import (
@@ -13,9 +14,11 @@ from repro.extension.smith_waterman import (
     fill_matrices_scalar,
     smith_waterman,
 )
-from repro.genome.reads import ReadSimulator
-from repro.genome.reference import SyntheticReference
+from repro.genome import sequence as seq
+from repro.genome.reads import Read, ReadSimulator
+from repro.genome.reference import RepeatFamily, SyntheticReference
 from repro.genome.sequence import as_codes
+from repro.runtime import batch
 from repro.runtime.batch import DEFAULT_MAX_BATCH, smith_waterman_batch
 from tests.align.test_extension_oracle import observed, oracle
 from tests.extension.test_needleman_wunsch import oracle_global_matrices
@@ -69,6 +72,59 @@ class TestBatchKernel:
             want = smith_waterman(q, t)
             assert got.score == want.score
             assert got.cigar == want.cigar
+
+    def test_duplicate_pairs_filled_once(self, monkeypatch):
+        """Jobs with equal encoded codes share one fill and one result,
+        whether given as strings, code arrays or lowercase; sharing only
+        the read or only the window is not a duplicate."""
+        rows = []
+        real_fill = batch.fill_matrices
+
+        def counting_fill(read_stack, ref_stack, scoring):
+            rows.append(read_stack.shape[0])
+            return real_fill(read_stack, ref_stack, scoring)
+
+        monkeypatch.setattr(batch, "fill_matrices", counting_fill)
+        rng = random.Random(8)
+        three = [(random_seq(rng, 21), random_seq(rng, 34))
+                 for _ in range(3)]
+        query, target = random_seq(rng, 17), random_seq(rng, 26)
+        other_query, other_target = random_seq(rng, 17), random_seq(rng, 26)
+        cases = {
+            "chunk boundary": (three * (DEFAULT_MAX_BATCH // 3 + 2), 3),
+            "one side shared": ([(query, target), (query, other_target),
+                                 (other_query, target)], 3),
+            "str and codes": ([(query, target),
+                               (as_codes(query), as_codes(target))], 1),
+            "lowercase": ([(query, target),
+                           (query.lower(), target.lower())], 1),
+        }
+        for name, (pairs, distinct) in cases.items():
+            rows.clear()
+            got = smith_waterman_batch(pairs)
+            assert sum(rows) == distinct, name
+            for (q, t), alignment in zip(pairs, got):
+                assert alignment == smith_waterman(q, t), name
+            assert len({id(a) for a in got}) == distinct, name
+
+    def test_fill_span_counts_distinct_pairs(self):
+        """Under an enabled tracer the fill span separates the logical
+        jobs from the pairs and cells actually filled."""
+        rng = random.Random(9)
+        pairs = [(random_seq(rng, 10), random_seq(rng, 12))
+                 for _ in range(2)] * 3 + [("ACGT", "")]
+        tracer = obs.configure(enabled=True)
+        try:
+            smith_waterman_batch(pairs)
+        finally:
+            obs.configure(enabled=False)
+        [span] = [e for e in tracer.events()
+                  if e["name"] == "extension_fill"]
+        assert span["cat"] == "runtime"
+        assert span["args"]["pairs"] == 7
+        assert span["args"]["distinct"] == 3
+        assert span["args"]["cells_filled"] == 2 * 10 * 12
+        assert obs.span("extension_fill", "runtime") is obs.NULL_SPAN
 
 
 class TestFillKernel:
@@ -135,3 +191,39 @@ class TestBatchedPipeline:
                   for idx, read in enumerate(reads)]
         batched = [observed(r) for r in aligner.align_all(reads)]
         assert batched == serial
+
+    def test_align_all_repeat_reference_equals_serial(self):
+        """Reads from byte-identical repeat copies: most hits repeat a
+        (strand, window) pair, so the batch kernel shares fills, yet
+        every read matches the per-hit oracle (lowest hit index wins a
+        tie) and still counts full-window cells for every hit."""
+        rng = random.Random(61)
+        family = RepeatFamily(seq.random_sequence(500, rng), 8, 0.0)
+        reference = SyntheticReference(length=40_000, chromosomes=1,
+                                       seed=61,
+                                       repeat_families=[family]).build()
+        aligner = SoftwareAligner(reference)
+        pad, length = aligner.window_pad, 101
+        reads = []
+        for idx in range(24):
+            chrom, start, end = reference.repeat_annotations[idx % 8]
+            pos = rng.randrange(start + pad, end - pad - length + 1)
+            fragment = reference.fetch(chrom, pos, pos + length)
+            if idx % 2:
+                fragment = seq.reverse_complement(fragment)
+            reads.append(Read(read_id=f"copy_{idx}", sequence=fragment,
+                              quality="I" * length, chrom=chrom,
+                              position=pos, reverse=bool(idx % 2)))
+
+        results = aligner.align_all(reads)
+        shared = sum(
+            len(r.hits) > len({(h.reverse, aligner.text[h.ref_start:h.ref_end])
+                               for h in r.hits})
+            for r in results)
+        assert shared > len(reads) // 2
+        serial = [oracle(aligner, read, idx)[:3]
+                  for idx, read in enumerate(reads)]
+        assert [observed(r) for r in results] == serial
+        for r in results:
+            assert r.work.extension_cells == sum(
+                length * (h.ref_end - h.ref_start) for h in r.hits)
