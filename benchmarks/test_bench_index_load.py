@@ -1,8 +1,8 @@
 """Index store benchmarks: cold build vs zero-copy mmap attach.
 
 The acceptance measurement for the on-disk index store
-(:mod:`repro.seeding.store`): building the FM-index from scratch pays for
-two suffix-array constructions, while attaching maps the checked-in bytes
+(:mod:`repro.seeding.store`): building the FMD-index from scratch pays for
+a suffix-array construction over both strands, while attaching maps the checked-in bytes
 read-only and touches only the 48-byte prefix plus the JSON header.  The
 worker-spawn benchmark plays the role of N pool initializers racing to get
 an index — the exact cost :func:`repro.runtime.sharded._init_align_worker`
@@ -35,7 +35,7 @@ def bench_store(bench_reference, tmp_path_factory):
 
 
 def test_bench_index_cold_build(benchmark, bench_reference, tmp_path):
-    """Full build: BWT + suffix arrays + checksummed serialization."""
+    """Full build: BWT + suffix array + checksummed serialization."""
     counter = iter(range(1_000))
 
     def cold():
@@ -102,4 +102,4 @@ def test_attached_index_queries_match_memory(bench_reference, bench_store):
         pattern = codes[start:start + 32]
         a, b = memory.search(pattern), mapped.search(pattern)
         assert (a.k, a.l, a.s) == (b.k, b.l, b.s)
-        assert memory.locate(a) == mapped.locate(b)
+        assert memory.locate(a, 32) == mapped.locate(b, 32)

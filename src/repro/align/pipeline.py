@@ -2,7 +2,7 @@
 
 This is the BWA-MEM-shaped pipeline of the paper's Fig 1: Find Seeds →
 Filter and Chain → Seeds Extension → Get Result, built on the repro
-substrates (bidirectional FM-index SMEMs, greedy chaining, affine-gap
+substrates (FMD-index SMEMs over both strands, greedy chaining, affine-gap
 Smith-Waterman). NvWa's computing units "are faithful to the standard read
 alignment software, which allows us to have no loss of accuracy" — in this
 reproduction that statement is checkable: the accelerator simulation
@@ -104,23 +104,25 @@ class SoftwareAligner:
     # ------------------------------------------------------------------ #
 
     def collect_anchors(self, read_seq: str, work: PhaseWork) -> List[Anchor]:
-        """Step ❶: SMEM anchors of the read and its reverse complement."""
+        """Step ❶: SMEM anchors on both strands in one pass; a reverse-strand
+        anchor's span is on the reverse-complement read."""
+        before = self.index.occ_accesses
+        smems = find_smems(self.index, read_seq,
+                           min_length=self.min_seed_length,
+                           max_occurrences=self.max_seed_occurrences)
+        read_len = len(read_seq)
+        work.seeding_steps += sum(m.length for m in smems) or read_len
         anchors: List[Anchor] = []
-        for reverse, oriented in ((False, read_seq),
-                                  (True, seq.reverse_complement(read_seq))):
-            before = self.index.occ_accesses
-            smems = find_smems(self.index, oriented,
-                               min_length=self.min_seed_length,
-                               max_occurrences=self.max_seed_occurrences)
-            work.seeding_steps += sum(m.length for m in smems) or len(oriented)
-            for smem in smems:
-                positions = self.index.locate(smem.interval,
-                                              max_hits=self.max_seed_occurrences)
-                for pos in positions:
-                    anchors.append(Anchor(read_start=smem.read_start,
-                                          read_end=smem.read_end,
-                                          ref_start=pos, reverse=reverse))
-            work.seeding_accesses += self.index.occ_accesses - before
+        for smem in smems:
+            mirrored = (read_len - smem.read_end, read_len - smem.read_start)
+            for pos, reverse in self.index.locate(
+                    smem.interval, smem.length,
+                    max_hits=self.max_seed_occurrences):
+                start, end = mirrored if reverse else (smem.read_start,
+                                                       smem.read_end)
+                anchors.append(Anchor(read_start=start, read_end=end,
+                                      ref_start=pos, reverse=reverse))
+        work.seeding_accesses += self.index.occ_accesses - before
         return anchors
 
     def build_hits(self, read_idx: int, read_len: int,

@@ -194,8 +194,9 @@ _RECOVERY_TIMEOUT_S = 45.0
 
 #: Overload sub-phase shape: a burst far above the capacity of a
 #: one-slot backend (one worker, one request per batch), through a tiny
-#: admission queue, under a real budget.
-_OVERLOAD_RATE = 600.0
+#: admission queue, under a real budget. The rate must stay well above
+#: what that backend serves, or nothing queues long enough to shed.
+_OVERLOAD_RATE = 2000.0
 _OVERLOAD_QUEUE_DEPTH = 4
 _OVERLOAD_BUDGET_MS = 2000.0
 

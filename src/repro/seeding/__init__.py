@@ -1,4 +1,5 @@
-"""Seeding-phase substrate: BWT, FM-index, SMEMs, minimizers, chaining."""
+"""Seeding-phase substrate: BWT, FM-index, the two-strand FMD-index and its
+SMEMs, the on-disk index store, minimizers, chaining."""
 
 from repro.seeding.bwt import (
     SENTINEL,

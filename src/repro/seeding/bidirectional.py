@@ -1,21 +1,21 @@
-"""Bidirectional FM-index (FMD-style) supporting two-way extension.
+"""FMD-index: one FM-index over both strands, with two-way extension.
 
 BWA-MEM finds super-maximal exact matches (SMEMs) by extending a match both
-forward and backward while tracking synchronised suffix-array intervals in
-an index of the text and an index of the reversed text (Li 2012). This
-module implements that structure from scratch on top of :class:`FMIndex`.
+forward and backward on one FM-index of ``X = T + revcomp(T)`` (Li 2012).
+``X`` is its own reverse complement, so extending a pattern P forward is
+extending revcomp(P) backward on the same index, and one SMEM pass over a
+read finds its matches on both strands. A :class:`BiInterval` ``(k, l, s)``
+holds P's interval ``[k, k+s)`` in SA(X) and revcomp(P)'s ``[l, l+s)``.
 
-A :class:`BiInterval` ``(k, l, s)`` represents a matched pattern ``P``:
-``[k, k+s)`` is P's interval in SA(T) and ``[l, l+s)`` is reverse(P)'s
-interval in SA(reverse(T)). Backward extension (prepending a base) updates
-``k`` with one Occ-block pair on the forward index and re-partitions ``l``
-arithmetically; forward extension is the mirror image.
+Occurrence counts are over both strands, the ``T | revcomp(T)`` junction
+included; :meth:`BidirectionalFMIndex.locate` never reports a match that
+spans the junction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -28,9 +28,9 @@ class BiInterval:
     """Synchronised bidirectional SA interval for a matched pattern.
 
     Attributes:
-        k: interval start in SA(T) for the pattern.
-        l: interval start in SA(reverse(T)) for the reversed pattern.
-        s: interval width = number of occurrences.
+        k: interval start in SA(X) for the pattern.
+        l: interval start in SA(X) for its reverse complement.
+        s: interval width = number of occurrences on both strands.
     """
 
     k: int
@@ -41,98 +41,101 @@ class BiInterval:
     def empty(self) -> bool:
         return self.s <= 0
 
-    def forward_interval(self) -> SAInterval:
-        """The pattern's interval in the forward index (for locating)."""
-        return SAInterval(self.k, self.k + self.s)
-
 
 class BidirectionalFMIndex:
-    """Two FM-indexes (text and reversed text) with synchronised intervals.
+    """FMD-index: one FM-index over ``T + revcomp(T)``.
 
     Args:
-        text: DNA string or uint8 code array.
-        occ_interval: checkpoint spacing shared by both underlying indexes.
-        sa_sample: suffix-array sampling rate shared by both indexes.
+        text: DNA string or uint8 code array (the reference ``T``).
+        occ_interval: checkpoint spacing of the FM-index.
+        sa_sample: suffix-array sampling rate of the FM-index.
+
+    ``length`` is ``len(T)``; the FM-index itself covers ``2 * length``.
     """
 
     def __init__(self, text, occ_interval: int = 64, sa_sample: int = 1):
-        codes = text if isinstance(text, np.ndarray) else seq.encode(text)
-        codes = np.asarray(codes, dtype=np.uint8)
-        self._bind(
-            FMIndex(codes, occ_interval=occ_interval, sa_sample=sa_sample),
-            FMIndex(codes[::-1].copy(), occ_interval=occ_interval, sa_sample=sa_sample),
-        )
+        codes = seq.as_codes(text)
+        both = np.concatenate([codes, 3 - codes[::-1]])
+        self._bind(FMIndex(both, occ_interval=occ_interval, sa_sample=sa_sample))
 
     @classmethod
-    def from_indexes(cls, forward: FMIndex, backward: FMIndex) -> "BidirectionalFMIndex":
-        """Wrap two prebuilt component indexes (text and reversed text).
-
-        This is the zero-copy attach path used by
-        :class:`repro.seeding.store.IndexStore`: the components arrive as
-        memmap-backed :meth:`FMIndex.from_arrays` instances and no suffix
-        array is constructed here.
-        """
-        if forward.length != backward.length:
-            raise ValueError(f"component lengths differ: {forward.length} != {backward.length}")
+    def from_fm_index(cls, fm: FMIndex) -> "BidirectionalFMIndex":
+        """Wrap a prebuilt FM-index over ``T + revcomp(T)`` (the zero-copy
+        attach path of :class:`repro.seeding.store.IndexStore`)."""
         index = cls.__new__(cls)
-        index._bind(forward, backward)
+        index._bind(fm)
         return index
 
-    def _bind(self, forward: FMIndex, backward: FMIndex) -> None:
-        self.length = forward.length
-        self.forward = forward
-        self.backward = backward
-        self._cum_fwd = forward.cumulative_counts
-        self._cum_bwd = backward.cumulative_counts
+    def _bind(self, fm: FMIndex) -> None:
+        self.fm = fm
+        self.length = fm.length // 2
+        self._cum = fm.cumulative_counts
 
     def full_interval(self) -> BiInterval:
         """The empty-pattern interval covering every suffix."""
-        return BiInterval(0, 0, self.length + 1)
+        return BiInterval(0, 0, self.fm.length + 1)
 
     def base_interval(self, code: int) -> BiInterval:
         """Interval of the single-base pattern ``code``."""
         return self.extend_backward(self.full_interval(), code)
 
-    def extend_backward(self, bi: BiInterval, code: int) -> BiInterval:
-        """Prepend ``code`` to the pattern (extend left in the text).
+    def _extend(self, k: int, l: int, s: int, code: int) -> Tuple[int, int, int]:
+        """Prepend ``code`` to the pattern whose interval is ``(k, l, s)``.
 
-        One :meth:`FMIndex.occ_pair` on the forward index narrows ``k``; the
-        partner start ``l`` then skips the rows that sort first. Within the
-        partner interval, occurrences continuing with the sentinel sort
-        first, then bases in code order, so those are the rows that do not
-        continue with ``code`` or a larger base.
+        One :meth:`FMIndex.occ_pair` narrows ``k``. Within revcomp(P)'s
+        interval, rows sort by the symbol after revcomp(P): the sentinel
+        first, then complements in code order, i.e. bases in reverse code
+        order. The new partner start skips the sentinel rows and the rows of
+        every base above ``code``.
         """
-        occ_lo, sizes = self.forward.occ_pair(code, bi.k, bi.k + bi.s)
-        before = bi.s - sum(sizes[code:])
-        return BiInterval(self._cum_fwd[code] + occ_lo, bi.l + before, sizes[code])
+        occ_lo, sizes = self.fm.occ_pair(code, k, k + s)
+        skipped = s - sum(sizes[: code + 1])
+        return self._cum[code] + occ_lo, l + skipped, sizes[code]
+
+    def extend_backward(self, bi: BiInterval, code: int) -> BiInterval:
+        """Prepend ``code`` to the pattern (extend left in the text)."""
+        k, l, s = self._extend(bi.k, bi.l, bi.s, code)
+        return BiInterval(k, l, s)
 
     def extend_forward(self, bi: BiInterval, code: int) -> BiInterval:
-        """Append ``code`` to the pattern (extend right in the text): the
-        mirror image of :meth:`extend_backward` on the reverse-text index."""
-        occ_lo, sizes = self.backward.occ_pair(code, bi.l, bi.l + bi.s)
-        before = bi.s - sum(sizes[code:])
-        return BiInterval(bi.k + before, self._cum_bwd[code] + occ_lo, sizes[code])
+        """Append ``code`` to the pattern (extend right in the text): prepend
+        its complement to revcomp(P), with the roles of ``k`` and ``l``
+        swapped."""
+        l, k, s = self._extend(bi.l, bi.k, bi.s, 3 - code)
+        return BiInterval(k, l, s)
 
     def search(self, pattern) -> BiInterval:
         """Bidirectional interval of an exact pattern (built backward)."""
-        codes = pattern if isinstance(pattern, np.ndarray) else seq.encode(pattern)
         bi = self.full_interval()
-        for code in reversed(np.asarray(codes, dtype=np.uint8)):
+        for code in reversed(seq.as_codes(pattern)):
             bi = self.extend_backward(bi, int(code))
             if bi.empty:
                 return bi
         return bi
 
-    def locate(self, bi: BiInterval, max_hits: Optional[int] = None) -> List[int]:
-        """Text positions of the pattern's occurrences (forward coords)."""
-        return self.forward.locate(bi.forward_interval(), max_hits=max_hits)
+    def locate(
+        self, bi: BiInterval, length: int, max_hits: Optional[int] = None
+    ) -> List[Tuple[int, bool]]:
+        """Occurrences of the length-``length`` pattern in ``T``.
+
+        Returns ``(position, reverse)`` pairs sorted by strand, then
+        position. An occurrence at ``p >= n`` in revcomp(T) is revcomp(P) at
+        ``2n - p - length`` in T (``reverse`` is True); one that spans the
+        ``T | revcomp(T)`` junction matches neither strand and is dropped.
+        """
+        n = self.length
+        out = []
+        for pos in self.fm.locate(SAInterval(bi.k, bi.k + bi.s), max_hits=max_hits):
+            if pos + length <= n:
+                out.append((pos, False))
+            elif pos >= n:
+                out.append((2 * n - pos - length, True))
+        return sorted(out)
 
     @property
     def occ_accesses(self) -> int:
-        """Total Occ-block fetches across both component indexes."""
-        return self.forward.stats.occ_accesses + self.backward.stats.occ_accesses
+        """Occ-block fetches of the FM-index since the last reset."""
+        return self.fm.stats.occ_accesses
 
     def reset_stats(self) -> None:
-        self.forward.stats.reset()
-        self.backward.stats.reset()
-
+        self.fm.stats.reset()

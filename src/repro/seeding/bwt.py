@@ -20,6 +20,9 @@ import numpy as np
 #: Code used for the sentinel character in BWT arrays (bases are 0..3).
 SENTINEL = 4
 
+#: Largest ``base`` with ``base * base`` inside int64 (see :func:`suffix_array`).
+_MAX_KEY_BASE = 3_037_000_499
+
 
 def suffix_array(codes: np.ndarray) -> np.ndarray:
     """Suffix array of a code array (no sentinel), prefix doubling.
@@ -33,25 +36,26 @@ def suffix_array(codes: np.ndarray) -> np.ndarray:
     if n == 0:
         return np.empty(0, dtype=np.int64)
     rank = codes.astype(np.int64)
+    # Each round sorts (rank[i], rank[i + k] + 1 or 0 past the end) as one
+    # int64 key; tied suffixes get one new rank, so their order is free.
+    base = max(n, int(rank.max()) + 1) + 1
+    if base > _MAX_KEY_BASE:
+        raise ValueError(f"{base - 1} distinct ranks overflow int64 sort keys")
     k = 1
-    order = np.argsort(rank, kind="stable")
     while True:
-        second = np.full(n, -1, dtype=np.int64)
+        key = rank * base
         if k < n:
-            second[: n - k] = rank[k:]
-        order = np.lexsort((second, rank))
-        key1 = rank[order]
-        key2 = second[order]
-        changed = np.empty(n, dtype=bool)
-        changed[0] = False
-        changed[1:] = (key1[1:] != key1[:-1]) | (key2[1:] != key2[:-1])
-        new_rank = np.empty(n, dtype=np.int64)
-        new_rank[order] = np.cumsum(changed)
-        rank = new_rank
+            key[: n - k] += rank[k:] + 1
+        order = np.argsort(key)
+        sorted_key = key[order]
+        changed = np.empty(n, dtype=np.int64)
+        changed[0] = 0
+        np.not_equal(sorted_key[1:], sorted_key[:-1], out=changed[1:])
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.cumsum(changed)
         if rank[order[-1]] == n - 1:
-            break
+            return order.astype(np.int64)
         k *= 2
-    return order.astype(np.int64)
 
 
 def extended_suffix_array(codes: np.ndarray) -> np.ndarray:

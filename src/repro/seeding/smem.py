@@ -7,9 +7,11 @@ intervals at every width change, then sweep backward; a match that can no
 longer be extended on either side and is not contained in another match of
 the read is an SMEM.
 
-The implementation runs on :class:`BidirectionalFMIndex`, whose Occ-access
-metering feeds the seeding-unit cycle model — the functional algorithm and
-the hardware timing share this code path.
+The implementation runs on :class:`BidirectionalFMIndex`, an FMD-index over
+``T + revcomp(T)``, so one pass over the read finds its matches on both
+strands: occurrence counts and super-maximality are over both. Its
+Occ-access metering feeds the seeding-unit cycle model — the functional
+algorithm and the hardware timing share this code path.
 """
 
 from __future__ import annotations
@@ -117,14 +119,13 @@ def find_smems(
     """All SMEMs of a read, BWA-MEM pivot-jumping enumeration.
 
     Args:
-        index: bidirectional index of the reference.
+        index: FMD-index of the reference (both strands).
         read: DNA string or code array.
         min_length: discard matches shorter than this (BWA-MEM default 19).
-        max_occurrences: discard matches occurring more often than this
-            (repeat masking, like BWA-MEM's ``max_occ``).
+        max_occurrences: discard matches occurring more often than this on
+            both strands together (repeat masking, like BWA-MEM's ``max_occ``).
     """
-    codes = read if isinstance(read, np.ndarray) else seq.encode(read)
-    codes = np.asarray(codes, dtype=np.uint8)
+    codes = seq.as_codes(read)
     out: List[SMEM] = []
     pivot = 0
     while pivot < codes.size:

@@ -3,13 +3,14 @@
 NvWa's throughput story assumes many execution units sharing one reference index; every
 worker in this reproduction used to rebuild and privately hold its FM-index instead —
 the real barrier to many-worker scale and to bigger genomes.  This module serializes a
-:class:`~repro.seeding.bidirectional.BidirectionalFMIndex` (both component FM-indexes:
-BWT, cumulative counts, Occ checkpoints, suffix array, optional SA sampling mask) plus
-the encoded reference into a **versioned on-disk format of raw numpy arrays with a
-checksummed header**, and loads it back zero-copy via ``np.memmap``: every
-``ShardedRunner`` worker process and every ``AlignmentServer`` engine on a box then
-shares one physical copy through the page cache, and "building" the index in a fresh
-process becomes a few ``mmap`` calls instead of two suffix-array constructions.
+:class:`~repro.seeding.bidirectional.BidirectionalFMIndex` (its one FM-index over
+``T + revcomp(T)``: BWT, cumulative counts, Occ checkpoints, suffix array, optional SA
+sampling mask) plus the encoded reference into a **versioned on-disk format of raw
+numpy arrays with a checksummed header**, and loads it back zero-copy via
+``np.memmap``: every ``ShardedRunner`` worker process and every ``AlignmentServer``
+engine on a box then shares one physical copy through the page cache, and "building"
+the index in a fresh process becomes a few ``mmap`` calls instead of a suffix-array
+construction.
 
 On-disk layout (little-endian)::
 
@@ -53,7 +54,8 @@ MAGIC = b"REPROIDX"
 #: Bump on any incompatible change to the array set or header schema.  Existing
 #: store files then fail :class:`IndexVersionError` on open and are rebuilt (the
 #: CI index cache keys on this constant for the same reason).
-FORMAT_VERSION = 1
+#: Version 2: one FM-index over ``T + revcomp(T)`` (the FMD-index).
+FORMAT_VERSION = 2
 
 #: magic, format version, header length, SHA-256 of the header JSON.
 _PREFIX = struct.Struct("<8sII32s")
@@ -88,19 +90,6 @@ def _align_up(value: int) -> int:
 
 def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _fm_arrays(index: FMIndex, prefix: str) -> Dict[str, np.ndarray]:
-    """The raw arrays of one component FM-index, name-prefixed."""
-    out = {
-        f"{prefix}_bwt": index._bwt,
-        f"{prefix}_cum": index._cum,
-        f"{prefix}_occ_ckpt": index._occ_ckpt,
-        f"{prefix}_sa": index._sa,
-    }
-    if index._sa_mask is not None:
-        out[f"{prefix}_sa_mask"] = index._sa_mask
-    return out
 
 
 def content_hash_of(header: Dict[str, Any]) -> str:
@@ -139,8 +128,7 @@ def write_index_store(
             f"index covers {index.length} bases but the reference has {ref_codes.size}"
         )
     arrays: Dict[str, np.ndarray] = {"ref_codes": ref_codes}
-    arrays.update(_fm_arrays(index.forward, "fwd"))
-    arrays.update(_fm_arrays(index.backward, "bwd"))
+    arrays.update(index.fm.export_arrays())
 
     specs = []
     offset = 0
@@ -162,8 +150,8 @@ def write_index_store(
 
     meta = {
         "text_length": index.length,
-        "occ_interval": index.forward.occ_interval,
-        "sa_sample": index.forward.sa_sample,
+        "occ_interval": index.fm.occ_interval,
+        "sa_sample": index.fm.sa_sample,
         "chromosomes": [[chrom.name, len(chrom)] for chrom in reference.chromosomes],
         "source": source,
     }
@@ -211,9 +199,9 @@ def build_index_store(
     sa_sample: int = 1,
     source: str = "",
 ) -> "IndexStore":
-    """Build the bidirectional FM-index of ``reference`` and persist it at ``path``.
+    """Build the FMD-index of ``reference`` and persist it at ``path``.
 
-    This is the cold path every other process avoids: both suffix arrays are
+    This is the cold path every other process avoids: the suffix array is
     constructed here, once, and everyone else attaches via ``np.memmap``.
     """
     with obs.span(
@@ -342,27 +330,24 @@ class IndexStore:
         self._arrays[name] = arr
         return arr
 
-    def _component(self, prefix: str) -> FMIndex:
-        meta = self.header["meta"]
-        mask_name = f"{prefix}_sa_mask"
-        return FMIndex.from_arrays(
-            bwt=self.array(f"{prefix}_bwt"),
-            cum=self.array(f"{prefix}_cum"),
-            occ_ckpt=self.array(f"{prefix}_occ_ckpt"),
-            sa=self.array(f"{prefix}_sa"),
-            sa_mask=self.array(mask_name) if mask_name in self._specs else None,
-            length=meta["text_length"],
-            occ_interval=meta["occ_interval"],
-            sa_sample=meta["sa_sample"],
-        )
-
     def fmindex(self) -> BidirectionalFMIndex:
         """A mmap-backed :class:`BidirectionalFMIndex`, bit-identical in every query.
 
         No suffix array is built and no array is copied; the returned index reads
         straight from the page cache shared by every process mapping this file.
         """
-        return BidirectionalFMIndex.from_indexes(self._component("fwd"), self._component("bwd"))
+        meta = self.header["meta"]
+        fm = FMIndex.from_arrays(
+            bwt=self.array("bwt"),
+            cum=self.array("cum"),
+            occ_ckpt=self.array("occ_ckpt"),
+            sa=self.array("sa"),
+            sa_mask=self.array("sa_mask") if "sa_mask" in self._specs else None,
+            length=2 * meta["text_length"],
+            occ_interval=meta["occ_interval"],
+            sa_sample=meta["sa_sample"],
+        )
+        return BidirectionalFMIndex.from_fm_index(fm)
 
     def reference_codes(self) -> np.ndarray:
         """The encoded concatenated reference (uint8 codes, memory-mapped)."""
@@ -412,6 +397,8 @@ class IndexStore:
             "format_version": self.format_version,
             "content_hash": self.content_hash,
             "file_size": os.path.getsize(self.path),
+            # one FM-index over T + revcomp(T): both strands of the reference
+            "fmd_length": 2 * self.meta["text_length"],
             "meta": self.meta,
             "arrays": [
                 {k: spec[k] for k in ("name", "dtype", "shape", "nbytes", "sha256")}

@@ -186,8 +186,8 @@ class AlignmentServer(NdjsonFrontEnd):
         :class:`~repro.seeding.store.IndexStore` over the same file —
         separate Python objects (no shared mutable access stats across
         worker threads) but one physical copy of the arrays in the page
-        cache, and cold-start drops from two suffix-array builds to a few
-        ``mmap`` calls.  A torn or tampered store raises a typed
+        cache, and cold-start drops from a suffix-array build over both
+        strands to a few ``mmap`` calls.  A torn or tampered store raises a typed
         :class:`~repro.seeding.store.IndexStoreError` here instead of
         serving misaligned reads.
         """

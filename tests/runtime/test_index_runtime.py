@@ -8,7 +8,12 @@ from repro.genome.reads import ReadSimulator
 from repro.genome.reference import SyntheticReference
 from repro.runtime.artifacts import cached_fm_index, cached_index_store
 from repro.runtime.cache import ArtifactCache
-from repro.seeding.store import build_index_store
+from repro.seeding.store import (
+    FORMAT_VERSION,
+    IndexStore,
+    IndexVersionError,
+    build_index_store,
+)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +79,30 @@ class TestCachedIndexStore:
             bi_a = index.search(probe)
             bi_b = direct.search(probe)
             assert (bi_a.k, bi_a.l, bi_a.s) == (bi_b.k, bi_b.l, bi_b.s)
-            assert index.locate(bi_a) == direct.locate(bi_b)
+            assert index.locate(bi_a, 40) == direct.locate(bi_b, 40)
+
+    def test_two_component_store_is_left_for_a_fresh_path(
+            self, cache, reference, ref_params):
+        """A version-1 store under the old key is never attached: the
+        version-2 key addresses a fresh path, built cold."""
+        old_params = {"reference": ref_params, "occ_interval": 64,
+                      "sa_sample": 1, "format_version": 1}
+        old_path = cache.path_for("index_store", old_params, suffix=".idx")
+        build_index_store(reference, old_path, occ_interval=64)
+        with open(old_path, "r+b") as handle:
+            handle.seek(8)
+            handle.write((1).to_bytes(4, "little"))
+        with pytest.raises(IndexVersionError):
+            IndexStore.open(old_path)
+        before = os.path.getsize(old_path)
+
+        store = cached_index_store(cache, reference, ref_params,
+                                   occ_interval=64)
+        assert store.path != old_path
+        assert store.format_version == FORMAT_VERSION == 2
+        assert (cache.stats.misses, cache.stats.hits,
+                cache.stats.corrupt) == (1, 0, 0)
+        assert os.path.getsize(old_path) == before
 
 
 class TestShardedIndexPath:

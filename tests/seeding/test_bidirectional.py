@@ -1,4 +1,8 @@
-"""Tests for the bidirectional FM-index."""
+"""Tests for the FMD-index: one FM-index over T + revcomp(T).
+
+Every naive count below is taken over both strands, i.e. over the
+concatenation ``T + revcomp(T)`` the index is built on.
+"""
 
 import pickle
 import random
@@ -7,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.genome.sequence import encode, random_sequence
+from repro.genome.sequence import encode, random_sequence, reverse_complement
 from repro.seeding.bidirectional import BidirectionalFMIndex
 from repro.seeding.smem import find_smems
 
@@ -22,6 +26,18 @@ def naive_positions(text, pattern):
         start = idx + 1
 
 
+def both_strands(text):
+    """The FMD text: ``text`` followed by its reverse complement."""
+    return text + reverse_complement(text)
+
+
+def naive_locate(text, pattern):
+    """Two-strand occurrences in ``text`` as ``(position, reverse)``."""
+    forward = [(pos, False) for pos in naive_positions(text, pattern)]
+    reverse = [(pos, True) for pos in naive_positions(text, reverse_complement(pattern))]
+    return sorted(forward + reverse)
+
+
 @pytest.fixture(scope="module")
 def text():
     return random_sequence(2000, random.Random(5))
@@ -34,11 +50,11 @@ def index(text):
 
 class TestIntervals:
     def test_full_interval_width(self, index, text):
-        assert index.full_interval().s == len(text) + 1
+        assert index.full_interval().s == 2 * len(text) + 1
 
     def test_base_interval_counts(self, index, text):
         for code, base in enumerate("ACGT"):
-            assert index.base_interval(code).s == text.count(base)
+            assert index.base_interval(code).s == both_strands(text).count(base)
 
     def test_search_matches_naive(self, index, text):
         rng = random.Random(6)
@@ -46,7 +62,16 @@ class TestIntervals:
             length = rng.randint(1, 14)
             start = rng.randrange(0, len(text) - length)
             pattern = text[start:start + length]
-            assert index.search(pattern).s == len(naive_positions(text, pattern))
+            assert index.search(pattern).s == len(naive_positions(both_strands(text), pattern))
+
+    def test_partner_start_is_the_reverse_complement_interval(self, index, text):
+        rng = random.Random(10)
+        for _ in range(30):
+            length = rng.randint(1, 14)
+            start = rng.randrange(0, len(text) - length)
+            pattern = text[start:start + length]
+            bi, partner = index.search(pattern), index.search(reverse_complement(pattern))
+            assert (bi.l, bi.s) == (partner.k, partner.s)
 
     def test_locate_matches_naive(self, index, text):
         rng = random.Random(7)
@@ -55,7 +80,7 @@ class TestIntervals:
             start = rng.randrange(0, len(text) - length)
             pattern = text[start:start + length]
             bi = index.search(pattern)
-            assert index.locate(bi) == naive_positions(text, pattern)
+            assert index.locate(bi, length) == naive_locate(text, pattern)
 
 
 class TestExtensionSymmetry:
@@ -90,12 +115,11 @@ class TestExtensionSymmetry:
             expected = index.search(text[left:left + 9])
             assert bi.s == expected.s
 
-    def test_empty_on_absent_pattern(self, index):
-        bi = index.search("ACGT" * 8)
-        # verify against the naive truth whichever way it falls
-        assert (bi.s == 0) == (not naive_positions(
-            "".join([]), "x") or True)  # structural smoke; width checked below
-        assert bi.s >= 0
+    def test_empty_on_absent_pattern(self, index, text):
+        pattern = "ACGT" * 8
+        bi = index.search(pattern)
+        assert bi.s == len(naive_positions(both_strands(text), pattern))
+        assert bi.empty
 
 
 class TestAccessAccounting:
@@ -134,8 +158,9 @@ class TestPickle:
             assert find_smems(clone, read, min_length=10) == expected
             assert clone.occ_accesses == index.occ_accesses
             for smem in expected:
-                assert clone.locate(smem.interval) == index.locate(smem.interval)
-            assert clone.forward.stats == index.forward.stats
+                assert (clone.locate(smem.interval, smem.length)
+                        == index.locate(smem.interval, smem.length))
+            assert clone.fm.stats == index.fm.stats
 
 
 @given(st.text(alphabet="ACGT", min_size=2, max_size=50),
@@ -143,7 +168,10 @@ class TestPickle:
 @settings(max_examples=50, deadline=None)
 def test_property_bidirectional_count(text, pattern):
     index = BidirectionalFMIndex(text, occ_interval=4)
-    assert index.search(pattern).s == len(naive_positions(text, pattern))
+    bi = index.search(pattern)
+    assert bi.s == len(naive_positions(both_strands(text), pattern))
+    if not bi.empty:
+        assert index.locate(bi, len(pattern)) == naive_locate(text, pattern)
 
 
 @given(st.text(alphabet="ACGT", min_size=2, max_size=40))

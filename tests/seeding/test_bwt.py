@@ -40,6 +40,10 @@ class TestSuffixArray:
         text = "AAAAAA"
         assert suffix_array(encode(text)).tolist() == [5, 4, 3, 2, 1, 0]
 
+    def test_rejects_symbols_past_int64_sort_keys(self):
+        with pytest.raises(ValueError, match="int64"):
+            suffix_array(np.array([0, 2**40], dtype=np.int64))
+
     @given(dna)
     @settings(max_examples=60)
     def test_matches_naive(self, text):

@@ -101,14 +101,14 @@ class TestCountAndSearch:
 
 @pytest.fixture(scope="module", params=["memory", "store"])
 def rank_index(request, tmp_path_factory):
-    """A component FM-index over 700 bp, built in memory or store-attached."""
+    """The FM-index under an FMD-index over 700 bp, in memory or store-attached."""
     text = random_sequence(700, random.Random(13))
     index = BidirectionalFMIndex(text, occ_interval=16)
     if request.param == "store":
         path = tmp_path_factory.mktemp("rank") / "text.idx"
         write_index_store(path, index, ReferenceGenome([Chromosome("t", text)]))
         index = IndexStore.open(path).fmindex()
-    return index.forward
+    return index.fm
 
 
 class TestRankAgainstBWT:

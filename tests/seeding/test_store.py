@@ -68,13 +68,13 @@ class TestBitIdentity:
             a = memory.search(pattern)
             b = mapped.search(pattern)
             assert (a.k, a.l, a.s) == (b.k, b.l, b.s)
-            assert memory.locate(a) == mapped.locate(b)
+            assert memory.locate(a, length) == mapped.locate(b, length)
 
     def test_component_counts_match(self, built):
         _, _, store, memory = built
         mapped = store.fmindex()
         for probe in ("ACGT", "TTTT", "GATTACA"):
-            assert mapped.forward.count(probe) == memory.forward.count(probe)
+            assert mapped.fm.count(probe) == memory.fm.count(probe)
 
     def test_sa_sampling_round_trips(self, tmp_path):
         reference = _reference(seed=5, length=2_000, chromosomes=1)
@@ -82,25 +82,25 @@ class TestBitIdentity:
         memory = BidirectionalFMIndex(codes, occ_interval=64, sa_sample=4)
         write_index_store(tmp_path / "s.idx", memory, reference)
         mapped = IndexStore.open(tmp_path / "s.idx").fmindex()
-        assert mapped.forward.sa_sample == 4
-        assert mapped.forward._sa_mask is not None
+        assert mapped.fm.sa_sample == 4
+        assert mapped.fm._sa_mask is not None
         pattern = codes[50:70]
-        assert (mapped.locate(mapped.search(pattern))
-                == memory.locate(memory.search(pattern)))
+        assert (mapped.locate(mapped.search(pattern), 20)
+                == memory.locate(memory.search(pattern), 20))
 
 
 class TestZeroCopy:
     def test_arrays_are_memmapped(self, built):
         _, _, store, _ = built
-        assert isinstance(store.array("fwd_bwt"), np.memmap)
+        assert isinstance(store.array("bwt"), np.memmap)
         assert isinstance(store.reference_codes(), np.memmap)
         # Cached: repeated access returns the same mapping, not a new one.
-        assert store.array("fwd_bwt") is store.array("fwd_bwt")
+        assert store.array("bwt") is store.array("bwt")
 
     def test_two_opens_share_the_file(self, built):
         _, path, store, _ = built
         other = IndexStore.open(path)
-        assert np.array_equal(other.array("fwd_sa"), store.array("fwd_sa"))
+        assert np.array_equal(other.array("sa"), store.array("sa"))
         # Distinct FMIndex objects (private stats), same backing bytes.
         assert other.fmindex() is not store.fmindex()
 
@@ -136,10 +136,12 @@ class TestMetadata:
         desc = json.loads(json.dumps(store.describe()))
         assert desc["format_version"] == FORMAT_VERSION
         assert desc["meta"]["occ_interval"] == 64
+        assert desc["fmd_length"] == 2 * desc["meta"]["text_length"]
         names = {spec["name"] for spec in desc["arrays"]}
-        assert {"ref_codes", "fwd_bwt", "fwd_cum", "fwd_occ_ckpt",
-                "fwd_sa", "bwd_bwt", "bwd_cum", "bwd_occ_ckpt",
-                "bwd_sa"} <= names
+        # one FMD component over T + revcomp(T), plus the reference codes
+        assert names == {"ref_codes", "bwt", "cum", "occ_ckpt", "sa"}
+        bwt = next(spec for spec in desc["arrays"] if spec["name"] == "bwt")
+        assert bwt["shape"] == [desc["fmd_length"] + 1]
 
     def test_no_tmp_left_behind(self, built):
         _, path, _, _ = built
@@ -192,6 +194,15 @@ class TestFailureModes:
             handle.seek(8)
             handle.write((FORMAT_VERSION + 1).to_bytes(4, "little"))
         with pytest.raises(IndexVersionError, match="version"):
+            IndexStore.open(path)
+
+    def test_two_component_format_raises_version_error(self, tmp_path):
+        """A version-1 file (separate T and reverse(T) indexes) is refused."""
+        _, path = self._fresh(tmp_path)
+        with open(path, "r+b") as handle:
+            handle.seek(8)
+            handle.write((1).to_bytes(4, "little"))
+        with pytest.raises(IndexVersionError, match="version 1 "):
             IndexStore.open(path)
 
     def test_flipped_header_byte_raises_checksum_error(self, tmp_path):
@@ -270,12 +281,5 @@ class TestFromArrays:
 
     def test_export_arrays_keys(self, built):
         _, _, _, memory = built
-        exported = memory.forward.export_arrays()
+        exported = memory.fm.export_arrays()
         assert set(exported) == {"bwt", "cum", "occ_ckpt", "sa"}
-
-    def test_from_indexes_rejects_mismatch(self):
-        from repro.seeding.fmindex import FMIndex
-        fwd = FMIndex("ACGTACGT")
-        bwd = FMIndex("ACGTACGTA")
-        with pytest.raises(ValueError, match="lengths"):
-            BidirectionalFMIndex.from_indexes(fwd, bwd)

@@ -93,7 +93,8 @@ class TestIndexCommands:
         assert code == 0
         desc = json.loads(capsys.readouterr().out)
         assert desc["meta"]["text_length"] == 20_000
-        assert any(spec["name"] == "fwd_bwt" for spec in desc["arrays"])
+        assert desc["fmd_length"] == 40_000
+        assert any(spec["name"] == "bwt" for spec in desc["arrays"])
 
     def test_align_with_index_matches_plain(self, dataset, index_file,
                                             tmp_path, capsys):
