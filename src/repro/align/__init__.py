@@ -16,6 +16,7 @@ from repro.align.sam import (
     parse_sam,
     sam_header,
     sam_record,
+    validate_record,
     write_sam,
 )
 
@@ -23,5 +24,6 @@ __all__ = [
     "PhaseWork", "ReadAlignment", "SoftwareAligner",
     "LongReadAligner", "LongReadAlignment", "LongReadWork",
     "PairedAligner", "PairedResult",
-    "SamRecord", "parse_sam", "sam_header", "sam_record", "write_sam",
+    "SamRecord", "parse_sam", "sam_header", "sam_record",
+    "validate_record", "write_sam",
 ]

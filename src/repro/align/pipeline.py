@@ -3,16 +3,20 @@
 This is the BWA-MEM-shaped pipeline of the paper's Fig 1: Find Seeds →
 Filter and Chain → Seeds Extension → Get Result, built on the repro
 substrates (FMD-index SMEMs over both strands, greedy chaining, affine-gap
-Smith-Waterman). NvWa's computing units "are faithful to the standard read
-alignment software, which allows us to have no loss of accuracy" — in this
-reproduction that statement is checkable: the accelerator simulation
-executes *this* pipeline's work items, so its outputs are identical by
-construction, and tests verify this aligner recovers the simulated reads'
-true origins.
+seed extension). Extension follows the EUs' flank model, as BWA-MEM's
+``ksw_extend`` does: each hit carries its chain's longest seed, which is
+taken as exact, and DP runs only on the read before and after it, so a
+seed that covers the whole read needs no DP. NvWa's computing units "are
+faithful to the standard read alignment software, which allows us to have
+no loss of accuracy" — in this reproduction that statement is checkable:
+the accelerator simulation executes *this* pipeline's work items, and
+tests verify this aligner recovers the simulated reads' true origins.
 
 It also produces the per-read phase work measurements (seeding memory
 accesses, extension DP cells) that drive Fig 2's breakdown and the cycle
-simulator's timing.
+simulator's timing. Extension cells keep their full-window meaning (read
+× reference window per hit); the cells actually filled are reported on
+the ``extension_fill`` trace span.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ from repro.genome.reference import ReferenceGenome
 from repro.seeding.bidirectional import BidirectionalFMIndex
 from repro.seeding.chaining import Anchor, chain_anchors, filter_anchors, top_chains
 from repro.seeding.smem import find_smems
-from repro.extension.alignment import Alignment
+from repro.extension.alignment import Alignment, Cigar
 from repro.extension.scoring import BWA_MEM_SCORING, ScoringScheme
 from repro.core.interface import Hit
-from repro.runtime.batch import smith_waterman_batch
+from repro.runtime.batch import extend_batch
 
 
 @dataclass
@@ -127,7 +131,8 @@ class SoftwareAligner:
 
     def build_hits(self, read_idx: int, read_len: int,
                    anchors: Sequence[Anchor]) -> List[Hit]:
-        """Step ❷: filter + chain, then emit Table III hit records."""
+        """Step ❷: filter + chain, then emit Table III hit records, each
+        carrying its chain's longest anchor as the seed to extend from."""
         filtered = filter_anchors(anchors, self.min_seed_length)
         chains = top_chains(chain_anchors(filtered), self.max_chains) \
             if filtered else []
@@ -138,36 +143,60 @@ class SoftwareAligner:
             window_end = min(len(self.text),
                              chain.ref_end + (read_len - chain.read_end)
                              + self.window_pad)
+            seed = max(chain.anchors, key=lambda anchor: anchor.length)
             hits.append(Hit(read_idx=read_idx, hit_idx=hit_idx,
                             reverse=chain.reverse,
                             read_start=chain.read_start,
                             read_end=chain.read_end,
-                            ref_start=window_start, ref_end=window_end))
+                            ref_start=window_start, ref_end=window_end,
+                            seed=(seed.read_start, seed.ref_start,
+                                  seed.length)))
         return hits
 
     def extend_hit(self, jobs: Sequence[Tuple[str, Hit]]) -> List[Alignment]:
-        """Step ❸: affine Smith-Waterman over each hit's reference window.
+        """Step ❸: extend each hit from its seed to both sides of it.
 
-        ``jobs`` are ``(read_seq, hit)`` pairs; all of them go through one
-        :func:`~repro.runtime.batch.smith_waterman_batch` call, which
-        stacks same-shaped windows into shared vectorized fills and
-        fills each distinct (oriented read, window) pair once per call
-        (repeat copies share one fill and traceback; no state is kept
-        between calls).  Each result is rebased onto its own hit's
-        window, so alignments come back in job order, in reference
-        coordinates.
+        ``jobs`` are ``(read_seq, hit)`` pairs.  The seed is taken as
+        exact; the left flank (the read before it, reversed, against the
+        window before it, reversed) and the right flank (the read after
+        it against the window after it) each get an anchored-start,
+        free-end extension, and whatever read end a flank does not reach
+        is left for a soft clip.  All flanks go through one
+        :func:`~repro.runtime.batch.extend_batch` call, which fills each
+        distinct flank once and skips empty ones, so a seed covering the
+        whole read costs no DP.  Alignments come back in job order, in
+        reference coordinates; ``cells`` stays the full window's
+        read × window count, the work a full-window fill would charge.
         """
-        pairs = [(seq.reverse_complement(read_seq) if hit.reverse
-                  else read_seq, self.text[hit.ref_start:hit.ref_end])
-                 for read_seq, hit in jobs]
-        locals_ = smith_waterman_batch(pairs, scoring=self.scoring)
-        return [Alignment(score=local.score, cigar=local.cigar,
-                          read_start=local.read_start,
-                          read_end=local.read_end,
-                          ref_start=hit.ref_start + local.ref_start,
-                          ref_end=hit.ref_start + local.ref_end,
-                          reverse=hit.reverse, cells=local.cells)
-                for (_, hit), local in zip(jobs, locals_)]
+        flanks = []
+        for read_seq, hit in jobs:
+            if hit.seed is None:
+                raise ValueError(f"hit {hit.hit_idx} of read {hit.read_idx} "
+                                 "carries no seed to extend from")
+            query = seq.encode(read_seq)
+            if hit.reverse:
+                query = seq.reverse_complement_code(query)
+            window = seq.encode(self.text[hit.ref_start:hit.ref_end])
+            read_pos, ref_pos, length = hit.seed
+            seed_at = ref_pos - hit.ref_start
+            flanks.append((query[:read_pos][::-1], window[:seed_at][::-1]))
+            flanks.append((query[read_pos + length:],
+                           window[seed_at + length:]))
+        extended = extend_batch(flanks, scoring=self.scoring)
+        alignments = []
+        for (read_seq, hit), left, right in zip(jobs, extended[0::2],
+                                                extended[1::2]):
+            read_pos, ref_pos, length = hit.seed
+            alignments.append(Alignment(
+                score=self.scoring.match * length + left.score + right.score,
+                cigar=Cigar.from_runs((*reversed(left.cigar.ops),
+                                       (length, "M"), *right.cigar.ops)),
+                read_start=read_pos - left.read_end,
+                read_end=read_pos + length + right.read_end,
+                ref_start=ref_pos - left.ref_end,
+                ref_end=ref_pos + length + right.ref_end,
+                reverse=hit.reverse, cells=len(read_seq) * hit.ref_len))
+        return alignments
 
     # ------------------------------------------------------------------ #
     # Public API

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, TextIO, Union
+from typing import List, Mapping, Optional, Sequence, TextIO, Union
 
 from repro import obs
 from repro.genome import sequence as seq
+from repro.extension.alignment import Cigar
 from repro.genome.reference import ReferenceGenome
 from repro.align.pipeline import ReadAlignment
 
@@ -100,6 +101,57 @@ def _clipped_cigar(best, read_length: int) -> str:
     if tail:
         parts.append(f"{tail}S")
     return "".join(parts)
+
+
+def validate_record(line: str, contigs: Mapping[str, int],
+                    read_sequence: Optional[str] = None) -> None:
+    """Raise ``ValueError`` unless ``line`` is a structurally valid record.
+
+    ``contigs`` maps each reference name to its length.  A mapped
+    record's CIGAR, soft clips included, must consume SEQ exactly, with
+    clips only at its ends, and ``POS`` plus its reference span must lie
+    inside the contig.  An unmapped record carries no locus (``*``, 0,
+    ``*``) and no reverse flag.  Given the read as sequenced, SEQ must be
+    it, reverse-complemented exactly when the reverse flag is set.
+    """
+    fields = line.rstrip("\n").split("\t")
+    if len(fields) < 11:
+        raise ValueError(f"{len(fields)} fields, expected at least 11")
+    qname, rname, cigar, sequence, quality = (fields[0], fields[2],
+                                               fields[5], fields[9],
+                                               fields[10])
+    flag, pos, mapq = int(fields[1]), int(fields[3]), int(fields[4])
+    if quality != "*" and len(quality) != len(sequence):
+        raise ValueError(f"{qname}: QUAL length {len(quality)} "
+                         f"!= SEQ length {len(sequence)}")
+    unmapped = bool(flag & FLAG_UNMAPPED)
+    if unmapped and (rname, pos, mapq, cigar) != ("*", 0, 0, "*"):
+        raise ValueError(f"{qname}: unmapped record with a locus")
+    if unmapped and flag & FLAG_REVERSE:
+        raise ValueError(f"{qname}: unmapped record with a strand")
+    if read_sequence is not None:
+        oriented = (seq.reverse_complement(read_sequence)
+                    if flag & FLAG_REVERSE else read_sequence)
+        if sequence != oriented:
+            raise ValueError(f"{qname}: SEQ is not the read on the strand "
+                             "its flag names")
+    if unmapped:
+        return
+    if rname not in contigs:
+        raise ValueError(f"{qname}: unknown contig {rname!r}")
+    ops = Cigar.parse(cigar).ops
+    if not any(op == "M" for _, op in ops):
+        raise ValueError(f"{qname}: CIGAR {cigar} aligns no base")
+    if any(op == "S" for _, op in ops[1:-1]):
+        raise ValueError(f"{qname}: CIGAR {cigar} clips inside the read")
+    consumed = sum(length for length, op in ops if op in "MIS")
+    if consumed != len(sequence):
+        raise ValueError(f"{qname}: CIGAR {cigar} consumes {consumed} "
+                         f"of {len(sequence)} bases")
+    span = sum(length for length, op in ops if op in "MD")
+    if pos < 1 or pos + span - 1 > contigs[rname]:
+        raise ValueError(f"{qname}: span {pos}+{span} outside {rname} "
+                         f"({contigs[rname]} bp)")
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,11 @@ class Hit:
     the reference (linear coordinates). ``hit_len`` — "the difference
     between the end coordinate and the start coordinate of the read_pos"
     (Fig 10 step ❷) — is the statistic the Coordinator schedules on.
+
+    ``seed`` is ``(read_pos, ref_pos, length)`` of the chain's longest
+    exact seed, the origin the EU extends left and right from (BWA-MEM's
+    extension model); ``None`` on records that carry no seed, such as
+    synthetic workloads that only need the spans.
     """
 
     read_idx: int
@@ -58,6 +63,7 @@ class Hit:
     read_end: int
     ref_start: int
     ref_end: int
+    seed: Optional[Tuple[int, int, int]] = None
 
     def __post_init__(self) -> None:
         if self.read_end <= self.read_start:
@@ -66,6 +72,13 @@ class Hit:
         if self.ref_end < self.ref_start:
             raise ValueError(
                 f"hit ref span [{self.ref_start}, {self.ref_end}) is negative")
+        if self.seed is not None:
+            read_pos, ref_pos, length = self.seed
+            if not (length > 0 and self.read_start <= read_pos
+                    and read_pos + length <= self.read_end
+                    and self.ref_start <= ref_pos
+                    and ref_pos + length <= self.ref_end):
+                raise ValueError(f"seed {self.seed} lies outside the hit")
 
     @property
     def hit_len(self) -> int:

@@ -12,7 +12,7 @@ from repro.extension.smith_waterman import (
     fill_matrices_scalar,
     smith_waterman,
 )
-from repro.extension.needleman_wunsch import needleman_wunsch
+from repro.extension.needleman_wunsch import extend, needleman_wunsch
 from repro.extension.gact import GACTResult, gact_align
 from repro.extension.banded import BandedResult, banded_global
 from repro.extension.bitap import (
@@ -38,7 +38,7 @@ __all__ = [
     "Alignment", "Cigar", "identity",
     "alignment_from_matrices", "fill_matrices", "fill_matrices_scalar",
     "smith_waterman",
-    "needleman_wunsch",
+    "extend", "needleman_wunsch",
     "GACTResult", "gact_align",
     "BandedResult", "banded_global",
     "best_semi_global_distance", "bitap_exact_positions", "bitap_search",

@@ -33,12 +33,17 @@ class Cigar:
     @classmethod
     def from_ops(cls, raw: Iterable[str]) -> "Cigar":
         """Build from a per-base op sequence, merging adjacent runs."""
+        return cls.from_runs((1, op) for op in raw)
+
+    @classmethod
+    def from_runs(cls, raw: Iterable[Tuple[int, str]]) -> "Cigar":
+        """Build from ``(length, op)`` runs, merging adjacent equal ops."""
         runs: List[Tuple[int, str]] = []
-        for op in raw:
+        for length, op in raw:
             if runs and runs[-1][1] == op:
-                runs[-1] = (runs[-1][0] + 1, op)
+                runs[-1] = (runs[-1][0] + length, op)
             else:
-                runs.append((1, op))
+                runs.append((length, op))
         return cls(tuple(runs))
 
     @classmethod
@@ -87,7 +92,9 @@ class Alignment:
             (linear coordinates).
         reverse: True when the read aligned as its reverse complement.
         cells: DP cells computed to produce this alignment — the
-            compute-work statistic the EU cycle model consumes.
+            compute-work statistic the EU cycle model consumes.  A
+            pipeline hit reports its full read × window count, even where
+            seed extension filled only the flanks.
     """
 
     score: int

@@ -1,8 +1,14 @@
-"""Affine-gap Needleman-Wunsch global alignment.
+"""Affine-gap Needleman-Wunsch global alignment and seed extension.
 
 The global counterpart of the local aligner, used by the GACT-style tiling
 path for long reads (Darwin extends tile by tile with global alignment
 inside each tile) and as a reference point in tests.
+
+:func:`extend` is the short-read pipeline's flank kernel (BWA-MEM's
+``ksw_extend``): the start is anchored at a seed boundary, so the fill has
+global edges, and the end is free, so the result is the best cell
+anywhere, floored at 0 (clipping the whole flank).  It uses the same
+``fill_matrices`` and :func:`traceback_global`, walked back from that cell.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from repro.extension.smith_waterman import DPMatrices, fill_matrices
 def traceback_global(matrices: DPMatrices, read_codes: np.ndarray,
                      ref_codes: np.ndarray,
                      scoring: ScoringScheme) -> Cigar:
-    """Walk from (m, n) to (0, 0)."""
+    """Walk from (m, n) to (0, 0), with m and n the lengths of the codes
+    given: passing prefixes walks back from an inner cell."""
     h, e, f = matrices.h, matrices.e, matrices.f
     ext = scoring.gap_extend
     open_ext = scoring.gap_open + scoring.gap_extend
@@ -84,3 +91,42 @@ def needleman_wunsch(read, reference,
                      read_start=0, read_end=read_codes.size,
                      ref_start=0, ref_end=ref_codes.size,
                      cells=matrices.cells)
+
+
+def extend(query, target, scoring: ScoringScheme = BWA_MEM_SCORING
+           ) -> Alignment:
+    """Best extension of ``query`` along ``target`` from their common start.
+
+    Both sequences begin at the anchor (a seed boundary; a left flank is
+    passed reversed); the alignment may end anywhere, and ends at the
+    start when no extension scores above 0.  ``read_end``/``ref_end`` are
+    the bases consumed; unconsumed query bases are the caller's clip.
+    """
+    query_codes = seq.as_codes(query)
+    target_codes = seq.as_codes(target)
+    if query_codes.size == 0 or target_codes.size == 0:
+        # Every path consumes bases of one side only, so none beats 0.
+        return Alignment(score=0, cigar=Cigar(()), read_start=0, read_end=0,
+                         ref_start=0, ref_end=0)
+    matrices = fill_matrices(query_codes[None], target_codes[None], scoring,
+                             local=False)[0]
+    return extension_from_matrices(matrices, query_codes, target_codes,
+                                   scoring)
+
+
+def extension_from_matrices(matrices: DPMatrices, query_codes: np.ndarray,
+                            target_codes: np.ndarray,
+                            scoring: ScoringScheme) -> Alignment:
+    """Best free-end extension from global-edge (``local=False``) matrices.
+
+    The first best cell in row-major order wins a tie, so the shortest
+    query extension is kept; ``H[0, 0] = 0`` makes that the empty one
+    whenever nothing scores above 0.
+    """
+    end = np.unravel_index(int(np.argmax(matrices.h)), matrices.h.shape)
+    i, j = int(end[0]), int(end[1])
+    score = int(matrices.h[i, j])
+    cigar = traceback_global(matrices, query_codes[:i], target_codes[:j],
+                             scoring)
+    return Alignment(score=score, cigar=cigar, read_start=0, read_end=i,
+                     ref_start=0, ref_end=j, cells=matrices.cells)

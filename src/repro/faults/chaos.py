@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import tempfile
+import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -194,9 +195,10 @@ _RECOVERY_TIMEOUT_S = 45.0
 
 #: Overload sub-phase shape: a burst far above the capacity of a
 #: one-slot backend (one worker, one request per batch), through a tiny
-#: admission queue, under a real budget. The rate must stay well above
-#: what that backend serves, or nothing queues long enough to shed.
-_OVERLOAD_RATE = 2000.0
+#: admission queue, under a real budget. The arrival rate is this many
+#: times the backend's measured serving rate (1 / one warm request's
+#: latency), so the burst overloads it however fast the aligner is.
+_OVERLOAD_FACTOR = 20.0
 _OVERLOAD_QUEUE_DEPTH = 4
 _OVERLOAD_BUDGET_MS = 2000.0
 
@@ -324,9 +326,11 @@ async def _overload_run(topology: Any, specs: Any) -> Dict[str, Any]:
     one backend whose batcher is the only admission queue on the path.
 
     The backend is warmed with one request first (engine and index
-    built), then driven with a real per-request budget and NO client
-    retries: every outcome must be a success or a typed shed.  Its
-    queue gauges are read from its own ``stats`` afterwards.
+    built) and a second one is timed; the burst arrives at
+    ``_OVERLOAD_FACTOR`` times the rate that latency allows, with a real
+    per-request budget and NO client retries: every outcome must be a
+    success or a typed shed.  Its queue gauges are read from its own
+    ``stats`` afterwards.
     """
     from repro.cluster.gateway import ClusterGateway, GatewayConfig
     from repro.service.client import AsyncServiceClient
@@ -337,9 +341,12 @@ async def _overload_run(topology: Any, specs: Any) -> Dict[str, Any]:
         host="127.0.0.1", port=0, health_interval_s=0.2))
     try:
         await backend.align(specs[0].reads[0])
+        began = time.perf_counter()
+        await backend.align(specs[0].reads[0])
+        rate = _OVERLOAD_FACTOR / (time.perf_counter() - began)
         await gateway.start()
         overload_lg = LoadgenConfig(concurrency=_HARNESS_MAX_BATCH,
-                                    mode="open", rate=_OVERLOAD_RATE,
+                                    mode="open", rate=rate,
                                     wait_ready_s=5.0,
                                     budget_ms=_OVERLOAD_BUDGET_MS)
         overload_report = await run_loadgen(
@@ -351,6 +358,7 @@ async def _overload_run(topology: Any, specs: Any) -> Dict[str, Any]:
         await backend.close()
     return {"overload_report": overload_report,
             "overload_stats": stats.get("metrics", {}),
+            "overload_rate": rate,
             "overload_queue_depth": _OVERLOAD_QUEUE_DEPTH,
             "overload_budget_ms": _OVERLOAD_BUDGET_MS}
 
@@ -672,6 +680,7 @@ def run_chaos(plan_name: str = "ci-default", seed: int = 7,
         p99_budget_ms = budget_ms + 250.0
         report.chaos["cluster"]["overload"] = {
             "requests": overload.requests,
+            "rate_per_s": round(cluster["overload_rate"], 1),
             "completed": overload.completed,
             "shed": overload.shed,
             "busy_sheds": overload.busy_sheds,

@@ -38,7 +38,7 @@ and corrupted cache entries are evicted and rebuilt rather than
 poisoning a run.
 """
 
-from repro.runtime.batch import smith_waterman_batch
+from repro.runtime.batch import extend_batch, smith_waterman_batch
 from repro.runtime.cache import ArtifactCache, CacheStats, open_cache
 from repro.runtime.artifacts import (
     cached_fm_index,
@@ -72,6 +72,7 @@ __all__ = [
     "cached_synthetic_workload",
     "open_cache",
     "run_resilient",
+    "extend_batch",
     "simulate_many",
     "smith_waterman_batch",
 ]

@@ -7,6 +7,7 @@ import pytest
 from repro.align.pipeline import SoftwareAligner
 from repro.genome.reads import ErrorModel, Read, ReadSimulator
 from repro.genome.reference import SyntheticReference
+from repro.genome.sequence import reverse_complement
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +88,31 @@ class TestPipelineStructure:
             assert 0 <= hit.read_start < hit.read_end <= len(read.sequence)
             assert 0 <= hit.ref_start <= hit.ref_end <= len(reference)
             assert hit.hit_len == hit.read_end - hit.read_start
+
+    def test_hit_seed_is_an_exact_match_inside_the_chain(self, reference,
+                                                        aligner):
+        sim = ReadSimulator(reference, read_length=101, seed=5)
+        for read in sim.simulate(6):
+            for hit in aligner.align(read).hits:
+                read_pos, ref_pos, length = hit.seed
+                oriented = (reverse_complement(read.sequence) if hit.reverse
+                            else read.sequence)
+                assert hit.read_start <= read_pos < read_pos + length \
+                    <= hit.read_end
+                assert oriented[read_pos:read_pos + length] == \
+                    aligner.text[ref_pos:ref_pos + length]
+
+    def test_seed_must_lie_inside_the_hit(self, aligner):
+        from repro.core.interface import Hit
+        spans = dict(read_idx=0, hit_idx=0, reverse=False, read_start=10,
+                     read_end=60, ref_start=100, ref_end=200)
+        Hit(**spans, seed=(10, 120, 50))
+        for seed in ((5, 120, 20), (40, 120, 21), (20, 190, 20),
+                     (20, 120, 0)):
+            with pytest.raises(ValueError, match="outside the hit"):
+                Hit(**spans, seed=seed)
+        with pytest.raises(ValueError, match="no seed"):
+            aligner.extend_hit([("A" * 70, Hit(**spans))])
 
     def test_hit_indices_sequential(self, reference, aligner):
         sim = ReadSimulator(reference, read_length=101, seed=6)

@@ -1,6 +1,8 @@
 """SAM output tests."""
 
+import importlib.util
 import io
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.align.sam import (
     mapq_estimate,
     sam_header,
     sam_record,
+    validate_record,
     write_sam,
 )
 from repro.genome.reads import ErrorModel, Read, ReadSimulator
@@ -149,3 +152,69 @@ class TestMapq:
     def test_invalid_read_length(self):
         with pytest.raises(ValueError):
             mapq_estimate(10, None, 0)
+
+
+class TestValidateRecord:
+    CONTIGS = {"chr1": 100}
+    READ = "ACGTACGTAC"
+
+    def line(self, flag=0, rname="chr1", pos=11, cigar="2S8M",
+             sequence=READ, mapq=60):
+        return "\t".join(["r1", str(flag), rname, str(pos), str(mapq), cigar,
+                          "*", "0", "0", sequence, "I" * len(sequence)])
+
+    def test_valid_records_pass(self):
+        validate_record(self.line(), self.CONTIGS, self.READ)
+        validate_record(self.line(cigar="3M1I2M1D4M", pos=90), self.CONTIGS)
+        from repro.genome.sequence import reverse_complement
+        validate_record(self.line(flag=FLAG_REVERSE,
+                                  sequence=reverse_complement(self.READ)),
+                        self.CONTIGS, self.READ)
+        validate_record(self.line(flag=FLAG_UNMAPPED, rname="*", pos=0,
+                                  cigar="*", mapq=0), self.CONTIGS)
+
+    @pytest.mark.parametrize("fields, reason", [
+        ({"cigar": "9M"}, "consumes 9 of 10"),
+        ({"cigar": "2S7M2S"}, "consumes 11 of 10"),
+        ({"cigar": "4M2S4M"}, "clips inside"),
+        ({"cigar": "10S"}, "aligns no base"),
+        ({"cigar": "10Q"}, "malformed"),
+        ({"pos": 94}, "outside chr1"),
+        ({"pos": 0}, "outside chr1"),
+        ({"rname": "chr2"}, "unknown contig"),
+        ({"flag": FLAG_UNMAPPED}, "unmapped record with a locus"),
+        ({"flag": FLAG_UNMAPPED | FLAG_REVERSE, "rname": "*", "pos": 0,
+          "cigar": "*", "mapq": 0}, "unmapped record with a strand"),
+        ({"flag": FLAG_REVERSE}, "strand its flag names"),
+    ])
+    def test_invalid_records_raise(self, fields, reason):
+        with pytest.raises(ValueError, match=reason):
+            validate_record(self.line(**fields), self.CONTIGS, self.READ)
+
+    def test_truncated_record_raises(self):
+        with pytest.raises(ValueError, match="fields"):
+            validate_record("r1\t0\tchr1", self.CONTIGS)
+
+
+def _bench_inputs():
+    """The benchmark's read-pool generators (``perfbench/inputs.py``)."""
+    path = Path(__file__).resolve().parents[2] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("pool", ["unique", "repeat"])
+def test_every_record_of_both_bench_pools_is_valid(pool):
+    """Both benchmark pools: unique reads with Illumina errors, and reads
+    from near-identical repeat copies (several equal-score hits each)."""
+    inputs = _bench_inputs()
+    reference = getattr(inputs, f"{pool}_reference")()
+    reads = getattr(inputs, f"{pool}_reads")(reference, 3, 120)
+    contigs = {chrom.name: len(chrom) for chrom in reference.chromosomes}
+    results = SoftwareAligner(reference).align_all(reads)
+    assert sum(r.aligned for r in results) >= 110
+    for read, result in zip(reads, results):
+        validate_record(sam_record(result, reference), contigs,
+                        read.sequence)

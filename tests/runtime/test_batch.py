@@ -80,9 +80,9 @@ class TestBatchKernel:
         rows = []
         real_fill = batch.fill_matrices
 
-        def counting_fill(read_stack, ref_stack, scoring):
+        def counting_fill(read_stack, ref_stack, scoring, local=True):
             rows.append(read_stack.shape[0])
-            return real_fill(read_stack, ref_stack, scoring)
+            return real_fill(read_stack, ref_stack, scoring, local=local)
 
         monkeypatch.setattr(batch, "fill_matrices", counting_fill)
         rng = random.Random(8)

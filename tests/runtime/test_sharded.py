@@ -25,7 +25,7 @@ from repro.runtime.sharded import (
     ShardedRunner,
     default_parallelism,
 )
-from tests.align.test_extension_oracle import observed, oracle
+from tests.align.test_extension_oracle import contract, observed, oracle
 
 
 @pytest.fixture(scope="module")
@@ -168,14 +168,18 @@ class TestAlignmentDeterminism:
 
     def test_batched_extension_matches_serial(self, substrate):
         """Sharded workers extend through the batch kernel; a 2-worker
-        run must match one scalar ``smith_waterman`` per hit."""
+        run must match the in-process aligner exactly, and one
+        full-window ``smith_waterman`` per hit on score, start and
+        strand."""
         reference, reads = substrate
         aligner = SoftwareAligner(reference)
-        serial = [oracle(aligner, read, idx)[:3]
-                  for idx, read in enumerate(reads)]
+        serial = [oracle(aligner, read, idx) for idx, read in enumerate(reads)]
         batched = ShardedRunner(parallelism=2, shard_size=30).align(
             reference, reads)
-        assert [observed(r) for r in batched] == serial
+        assert [observed(r) for r in batched] == \
+            [observed(r) for r in aligner.align_all(reads)]
+        assert [contract(observed(r)) for r in batched] == \
+            [contract(entry) for entry in serial]
 
     def test_spawn_workers_given_a_queried_index(self, substrate):
         """Spawned workers unpickle the caller's index from the pool
