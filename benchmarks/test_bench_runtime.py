@@ -90,17 +90,6 @@ def test_cached_substrate_faster_than_cold(tmp_path):
         f"rebuild ({cold_seconds:.3f}s)")
 
 
-def test_bench_sharded_runner_vs_classic(benchmark, bench_workload):
-    """ShardedRunner's serial path: same engine work, shard bookkeeping."""
-    from repro.runtime.sharded import ShardedRunner
-
-    report = benchmark.pedantic(
-        lambda: ShardedRunner(shard_size=256).run(bench_workload),
-        rounds=1, iterations=1)
-    assert report.reads == len(bench_workload)
-    assert report.shards == (len(bench_workload) + 255) // 256
-
-
 def test_bench_batch_extension_kernel(benchmark):
     """Vectorized batch Smith-Waterman over 64 same-shaped jobs."""
     import random

@@ -26,12 +26,7 @@ See docs/CLUSTER.md for topology, routing, and failure semantics.
 """
 
 from repro.cluster.gateway import BackendHandle, ClusterGateway, GatewayConfig
-from repro.cluster.merge import (
-    MergeError,
-    gather_complete,
-    merge_align_payloads,
-    merge_stats_payloads,
-)
+from repro.cluster.merge import MergeError, merge_align_payloads
 from repro.cluster.ring import DEFAULT_VNODES, HashRing, stable_hash
 from repro.cluster.supervisor import (
     BackendProcess,
@@ -63,9 +58,7 @@ __all__ = [
     "RestartPolicy",
     "SupervisorError",
     "SupervisorEvent",
-    "gather_complete",
     "merge_align_payloads",
-    "merge_stats_payloads",
     "read_state",
     "shard_assignment",
     "shard_for_chromosome",

@@ -22,7 +22,7 @@ read with no accepted chain.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 
 class MergeError(ValueError):
@@ -68,36 +68,3 @@ def merge_align_payloads(
     merged = dict(best)
     merged["shard"] = best_shard
     return merged
-
-
-def merge_stats_payloads(
-        per_backend: Dict[str, Dict[str, Any]],
-        gateway: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    """Aggregate per-backend ``stats`` payloads into one cluster view.
-
-    Scalar counters sum across backends; everything non-numeric is kept
-    under ``backends.<id>`` so nothing is lost, and the gateway's own
-    stats ride alongside under ``gateway``.
-    """
-    totals: Dict[str, float] = {}
-    for stats in per_backend.values():
-        for key, value in stats.items():
-            if isinstance(value, bool) or not isinstance(value,
-                                                         (int, float)):
-                continue
-            totals[key] = totals.get(key, 0) + value
-    merged: Dict[str, Any] = {
-        "cluster": {key: totals[key] for key in sorted(totals)},
-        "backends": {bid: per_backend[bid]
-                     for bid in sorted(per_backend)},
-    }
-    if gateway is not None:
-        merged["gateway"] = gateway
-    return merged
-
-
-def gather_complete(candidates: Sequence[Tuple[int, Dict[str, Any]]],
-                    shards: int) -> List[int]:
-    """Shard indices missing from a gather (empty list = complete)."""
-    answered = {shard for shard, _ in candidates}
-    return [shard for shard in range(shards) if shard not in answered]

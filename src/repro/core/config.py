@@ -60,8 +60,11 @@ class NvWaConfig:
     record_trace: bool = False
     #: Execute each extension functionally inside the EU (requires hit
     #: tasks with attached sequences): the report then carries Table III
-    #: ExtensionResult records identical to the software pipeline's — the
-    #: checkable form of "no loss of accuracy". Costs real SW compute.
+    #: ExtensionResult records from a full-window ``smith_waterman`` over
+    #: each hit's read x window. The software pipeline instead extends
+    #: only the flanks of the chain's longest seed, so a hit's record can
+    #: differ between the two; one hit-length definition for both is
+    #: ROADMAP item 3. Costs real SW compute.
     functional_execution: bool = False
 
     # Scheduling feature flags.

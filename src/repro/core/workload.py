@@ -45,8 +45,10 @@ class HitTask:
     ``query_seq``/``ref_seq`` optionally carry the actual sequences of the
     task (attached by :func:`workload_from_pipeline` with
     ``attach_sequences=True``); with them the accelerator can *execute*
-    each extension functionally, not just time it — the strongest form of
-    the paper's no-loss-of-accuracy property.
+    each extension functionally, not just time it.  The EU runs a
+    full-window ``smith_waterman`` over these sequences, whereas the
+    software pipeline extends only the flanks of the chain's longest
+    seed; making both use one hit-length definition is ROADMAP item 3.
     """
 
     read_idx: int

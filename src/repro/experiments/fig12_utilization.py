@@ -87,12 +87,3 @@ def run(reads: int = 4000, seed: int = 2, bins: int = 50,
         "(d) SUs+EUs EUs": base_eu_series,
     })
     return result
-
-
-def utilization_gap(result) -> float:
-    """NvWa-over-baseline SU utilization ratio (the panel (a)/(b) gap)."""
-    nvwa = result.reports["nvwa"].su_utilization
-    base = result.reports["baseline"].su_utilization
-    if base == 0:
-        return float("inf")
-    return nvwa / base

@@ -23,7 +23,7 @@ the resilience substrate the service and runtime layers share:
 - :mod:`repro.faults.chaos` — the harness behind ``repro chaos``: runs
   serve + loadgen + the sharded runtime under a named plan and asserts
   the invariants (zero lost/duplicated responses, byte-identical SAM,
-  reproducible schedule, bit-identical sharded reports).  Imported
+  reproducible schedule, bit-identical sharded SAM).  Imported
   lazily — it pulls in the service and runtime layers.
 
 See docs/RESILIENCE.md for the taxonomy and semantics.

@@ -57,7 +57,7 @@ FAULT_KINDS = (WORKER_CRASH, LATENCY_SPIKE, CONN_DROP, CACHE_CORRUPT,
 SITE_ENGINE = "engine"            # AlignmentEngine.execute (service worker)
 SITE_CONN_WRITE = "conn_write"    # server → client response write
 SITE_CACHE_LOAD = "cache_load"    # ArtifactCache.load of an existing entry
-SITE_SHARD = "shard_worker"       # ShardedRunner / sweep worker process
+SITE_SHARD = "shard_worker"       # ShardedRunner.align worker process
 SITE_CLUSTER = "cluster_backend"  # chaos cluster-phase kill checkpoints
 
 SITES = (SITE_ENGINE, SITE_CONN_WRITE, SITE_CACHE_LOAD, SITE_SHARD,

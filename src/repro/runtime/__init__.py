@@ -4,7 +4,7 @@ The experiment sweeps behind the paper's headline exhibits (Figs 11-14)
 repeat two kinds of redundant work: they rebuild deterministic artifacts
 (synthetic genomes, FM-indexes, read sets, workloads) from scratch on every
 invocation, and they push independent units of work — reads through one
-`Engine`, configurations through one sweep loop — strictly serially.  This
+aligner, configurations through one sweep loop — strictly serially.  This
 package removes both bottlenecks without touching the cycle-accurate
 reference semantics:
 
@@ -15,15 +15,15 @@ reference semantics:
   ``SyntheticReference``, FM-index construction, simulated read sets, and
   synthetic workloads through an :class:`~repro.runtime.cache.ArtifactCache`.
 - :mod:`repro.runtime.sharded` — :class:`~repro.runtime.sharded.ShardedRunner`,
-  which partitions a workload (or read set) into deterministic shards and
-  fans them out across ``multiprocessing`` workers, each with its own
-  ``Engine`` (or ``SoftwareAligner``), merging per-shard cycle counts,
-  utilization statistics, and SAM output identically regardless of worker
-  count.
+  which splits a read set into contiguous shards and aligns them across
+  ``multiprocessing`` workers, each with its own ``SoftwareAligner``,
+  merging SAM-ready results identically regardless of worker count; and
+  :func:`~repro.runtime.sharded.run_resilient`, the worker pool both
+  parallel paths share.
 - :mod:`repro.runtime.sweep` — :func:`~repro.runtime.sweep.simulate_many`,
-  the fan-out used by the Fig 11/13/14 sweeps: independent
-  ``(config, workload)`` simulations across workers, bit-identical to the
-  serial loop.
+  the one parallel path into the simulator, used by the Fig 11/13/14
+  sweeps: independent ``(config, workload)`` simulations across workers,
+  bit-identical to the serial loop.
 - :mod:`repro.runtime.batch` — the batch front-end every aligner call
   extends its hits through: each distinct (read, window) pair is filled
   once per call, and same-shaped jobs are stacked into single calls of
@@ -47,20 +47,12 @@ from repro.runtime.artifacts import (
     cached_reference,
     cached_synthetic_workload,
 )
-from repro.runtime.sharded import (
-    ShardedReport,
-    ShardedRunner,
-    ShardPlan,
-    WorkerLostError,
-    run_resilient,
-)
+from repro.runtime.sharded import ShardedRunner, WorkerLostError, run_resilient
 from repro.runtime.sweep import SimJob, SweepResult, simulate_many
 
 __all__ = [
     "ArtifactCache",
     "CacheStats",
-    "ShardPlan",
-    "ShardedReport",
     "ShardedRunner",
     "SimJob",
     "SweepResult",

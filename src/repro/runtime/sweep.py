@@ -7,10 +7,10 @@ so they fan out across worker processes without changing a single number:
 each worker runs the exact serial code (``NvWaAccelerator(config)
 .run(workload)``), and results are returned in job order.
 
-This is deliberately distinct from :class:`~repro.runtime.sharded.
-ShardedRunner`: sweeps parallelise *across* configurations while keeping
-every simulation bit-identical to its serial twin; the sharded runner
-parallelises *within* one workload by re-partitioning it.
+This is the one parallel path into the simulator: a workload is never
+split, because the paper's throughput and utilization numbers come from
+one continuous run (:class:`~repro.runtime.sharded.ShardedRunner`
+shards alignment only).
 """
 
 from __future__ import annotations
@@ -68,13 +68,6 @@ def _evaluate(payload: Tuple[int, NvWaConfig, Workload, Optional[int]]
     return job_id, summarize(report)
 
 
-def _evaluate_guarded(payload) -> Tuple[int, SweepResult]:
-    # run_resilient wraps payloads as (inject_kill, inner); sweeps never
-    # arm injected kills, but a real worker death still replays the job.
-    _, inner = payload
-    return _evaluate(inner)
-
-
 def simulate_many(jobs: Sequence[SimJob],
                   parallelism: int = 1,
                   mp_context: Optional[str] = None) -> List[SweepResult]:
@@ -96,7 +89,7 @@ def simulate_many(jobs: Sequence[SimJob],
     else:
         from repro.runtime.sharded import run_resilient
 
-        indexed = run_resilient(_evaluate_guarded, payloads,
+        indexed = run_resilient(_evaluate, payloads,
                                 parallelism=parallelism,
                                 mp_context=mp_context)
     indexed.sort(key=lambda item: item[0])

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.cluster.merge import (
-    MergeError,
-    gather_complete,
-    merge_align_payloads,
-    merge_stats_payloads,
-)
+from repro.cluster.merge import MergeError, merge_align_payloads
 
 
 def payload(mapped, score, tag):
@@ -68,21 +63,3 @@ def test_merge_rejects_empty_and_duplicate_shards():
     with pytest.raises(MergeError):
         merge_align_payloads([(0, payload(True, 1, "a")),
                               (0, payload(True, 2, "b"))])
-
-
-def test_gather_complete():
-    got = [(0, {}), (2, {})]
-    assert gather_complete(got, 3) == [1]
-    assert gather_complete(got, 2) == [1]
-    assert gather_complete([(0, {}), (1, {})], 2) == []
-
-
-def test_merge_stats_sums_numeric_scalars_only():
-    merged = merge_stats_payloads({
-        "s0r0": {"requests": 10, "uptime_s": 1.5, "ok": True,
-                 "name": "a", "nested": {"x": 1}},
-        "s0r1": {"requests": 5, "uptime_s": 2.5, "ok": False},
-    }, gateway={"requests": 3})
-    assert merged["cluster"] == {"requests": 15, "uptime_s": 4.0}
-    assert set(merged["backends"]) == {"s0r0", "s0r1"}
-    assert merged["gateway"] == {"requests": 3}

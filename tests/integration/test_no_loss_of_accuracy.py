@@ -2,10 +2,14 @@
 
 "the computing units of NvWa are faithful to the standard read alignment
 software, which allows us to have no loss of accuracy." With functional
-execution enabled, the accelerator's EUs compute each extension with the
-same kernel on the same sequences the software pipeline used — so every
-(read, hit) pair's score must match exactly, under every scheduling
-configuration (scheduling reorders work; it must never change results).
+execution enabled, the accelerator's EUs run a full-window
+``smith_waterman`` over each hit's read and window.  The software
+pipeline does not: it extends only the flanks of the chain's longest
+seed.  So the EU scores are checked against a full-window oracle over
+the pipeline's hits, and each read's best EU score must reach the
+pipeline's best, under every scheduling configuration (scheduling
+reorders work; it must never change results).  One hit-length
+definition for the software and the EU is ROADMAP item 3.
 """
 
 from dataclasses import replace
