@@ -1,24 +1,20 @@
-"""Runtime-layer benchmarks: artifact caching and the sweep front-end.
+"""Runtime-layer benchmarks: a fig13-style sweep and the batch/sweep
+front-ends.
 
-The pair of fig13-style benchmarks is the cache layer's acceptance
-measurement: the same eight-configuration buffer-depth DSE, once with the
-experiment substrate (genome, FM-index, read set, workload) built from
-scratch and once served from a warm artifact cache.  The cached run skips
-genome synthesis, suffix-array construction, and read simulation, so its
-JSON entry must come in measurably below the cold one.
+``test_bench_fig13_sweep_cold`` times the end-to-end cost of one
+eight-configuration buffer-depth DSE, including building its substrate
+(genome, FM-index, read set, workload) from scratch, as every
+``repro experiments`` run does.
 """
-
-import time
 
 import pytest
 
 from repro.analysis.dse import sweep_buffer_depth
+from repro.core.workload import synthetic_workload
 from repro.genome.datasets import get_dataset
-from repro.runtime.artifacts import (
-    cached_pipeline_inputs,
-    cached_synthetic_workload,
-)
-from repro.runtime.cache import ArtifactCache
+from repro.genome.reads import ReadSimulator
+from repro.genome.reference import SyntheticReference
+from repro.seeding.bidirectional import BidirectionalFMIndex
 
 #: Eight buffer depths -> eight independent full simulations per sweep.
 DEPTHS = (64, 128, 256, 512, 1024, 2048, 4096, 8192)
@@ -27,67 +23,26 @@ READS = 500
 SWEEP_READS = 200
 
 
-def _build_substrate(cache):
+def _build_substrate():
     """The experiment substrate of a fig13-style run: pipeline inputs
     (genome + FM-index + reads) plus the synthetic DSE workload."""
-    reference, reads, index = cached_pipeline_inputs(
-        cache, length=GENOME_LENGTH, chromosomes=1, genome_seed=51,
-        read_count=READS, read_seed=52)
-    workload = cached_synthetic_workload(cache, get_dataset("H.s."),
-                                         SWEEP_READS, seed=53)
+    reference = SyntheticReference(length=GENOME_LENGTH, chromosomes=1,
+                                   seed=51).build()
+    reads = ReadSimulator(reference, seed=52).simulate(READS)
+    index = BidirectionalFMIndex(reference.concatenated(), occ_interval=128)
+    workload = synthetic_workload(get_dataset("H.s."), SWEEP_READS, seed=53)
     return reference, reads, index, workload
 
 
-def _sweep(workload):
-    return sweep_buffer_depth(workload, depths=DEPTHS)
-
-
 def test_bench_fig13_sweep_cold(benchmark):
-    """Substrate built from scratch + 8-config sweep (the old path)."""
+    """Substrate built from scratch + 8-config sweep."""
 
     def cold():
-        _, _, _, workload = _build_substrate(None)
-        return _sweep(workload)
+        _, _, _, workload = _build_substrate()
+        return sweep_buffer_depth(workload, depths=DEPTHS)
 
     points = benchmark.pedantic(cold, rounds=1, iterations=1)
     assert len(points) == len(DEPTHS)
-
-
-def test_bench_fig13_sweep_cached(benchmark, tmp_path):
-    """Same sweep with every artifact served from a warm cache."""
-    cache = ArtifactCache(tmp_path / "warm")
-    _build_substrate(cache)  # warm outside the measurement
-    assert cache.stats.stores == 4
-
-    def warm():
-        _, _, _, workload = _build_substrate(cache)
-        return _sweep(workload)
-
-    points = benchmark.pedantic(warm, rounds=1, iterations=1)
-    assert len(points) == len(DEPTHS)
-    assert cache.stats.corrupt == 0
-    assert cache.stats.hits >= 4
-
-
-def test_cached_substrate_faster_than_cold(tmp_path):
-    """Direct wall-clock check (independent of the bench harness): warm
-    substrate setup must beat cold rebuild — it replaces genome synthesis,
-    suffix-array construction, and read simulation with four pickle loads."""
-    cache = ArtifactCache(tmp_path / "warm")
-    _build_substrate(cache)  # populate
-
-    start = time.perf_counter()
-    _build_substrate(None)
-    cold_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    _build_substrate(cache)
-    warm_seconds = time.perf_counter() - start
-
-    assert cache.stats.hits == 4
-    assert warm_seconds < cold_seconds, (
-        f"warm substrate setup ({warm_seconds:.3f}s) should beat cold "
-        f"rebuild ({cold_seconds:.3f}s)")
 
 
 def test_bench_batch_extension_kernel(benchmark):

@@ -81,8 +81,8 @@ class SoftwareAligner:
         scoring: affine scheme for extension (BWA-MEM defaults).
         occ_interval: FM-index checkpoint spacing (paper: 128).
         index: optional prebuilt :class:`BidirectionalFMIndex` over this
-            reference (e.g. from the runtime artifact cache); skips index
-            construction, by far the most expensive part of setup.
+            reference (e.g. memory-mapped from an index store); skips
+            index construction, by far the most expensive part of setup.
     """
 
     def __init__(self, reference: ReferenceGenome,

@@ -12,7 +12,7 @@ Subcommands (``python -m repro`` works identically)::
     python -m repro accelerate --dataset H.s. --reads 2000
     python -m repro accelerate --reference x.fa --reads-file x.fq
     python -m repro experiments fig11 fig13 --quick
-    python -m repro experiments --parallelism 4 --cache-dir .cache/
+    python -m repro experiments --parallelism 4 --csv-dir out/
     python -m repro serve     --reference x.fa --port 7878
     python -m repro cluster   --reference x.fa --replicas 3 --port 7900
     python -m repro loadgen   --connect 127.0.0.1:7878 --reference x.fa
@@ -21,9 +21,8 @@ Subcommands (``python -m repro`` works identically)::
     python -m repro obs validate trace.json
     python -m repro lint      src/ --baseline lint-baseline.json
 
-``--parallelism N`` fans work out over N worker processes and
-``--cache-dir DIR`` memoizes deterministic inputs on disk; results are
-bit-identical to the serial, uncached run for every worker count.
+``--parallelism N`` fans work out over N worker processes; results are
+bit-identical to the serial run for every worker count.
 ``serve`` runs the online alignment service (dynamic batching, admission
 control, live metrics) and ``loadgen`` benchmarks it.  ``chaos`` runs
 serve + loadgen + the sharded runtime under a seeded fault plan and
@@ -75,16 +74,6 @@ def _write_trace(trace_out: Optional[str], extra_events=None) -> None:
                            extra_events=extra_events)
     print(f"wrote trace {trace_out} (load in Perfetto or "
           f"chrome://tracing)")
-
-
-def _execution_config(args: argparse.Namespace):
-    """An ExecutionConfig from --parallelism/--cache-dir, or ``None``."""
-    parallelism = getattr(args, "parallelism", None) or 1
-    cache_dir = getattr(args, "cache_dir", None)
-    if parallelism == 1 and cache_dir is None:
-        return None
-    from repro.experiments.common import ExecutionConfig
-    return ExecutionConfig(parallelism=parallelism, cache_dir=cache_dir)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -209,10 +198,6 @@ def _cmd_accelerate(args: argparse.Namespace) -> int:
     from repro.core import baseline
     from repro.runtime.sweep import simulate_many
 
-    exec_config = _execution_config(args)
-    parallelism = exec_config.parallelism if exec_config else 1
-    cache = exec_config.cache() if exec_config else None
-
     if args.reference and args.reads_file:
         from repro.align.pipeline import SoftwareAligner
         from repro.core import workload_from_pipeline
@@ -223,11 +208,10 @@ def _cmd_accelerate(args: argparse.Namespace) -> int:
         workload = workload_from_pipeline(results)
         source = f"{len(reads)} reads from {args.reads_file}"
     else:
+        from repro.core.workload import synthetic_workload
         from repro.genome.datasets import get_dataset
-        from repro.runtime.artifacts import cached_synthetic_workload
         profile = get_dataset(args.dataset)
-        workload = cached_synthetic_workload(cache, profile, args.reads,
-                                             seed=args.seed)
+        workload = synthetic_workload(profile, args.reads, seed=args.seed)
         source = f"{args.reads} synthetic {profile.name} reads"
 
     jobs = [("NvWa", baseline.nvwa()),
@@ -258,7 +242,7 @@ def _cmd_accelerate(args: argparse.Namespace) -> int:
     else:
         nvwa, base = simulate_many(
             [(config, workload, None) for _, config in jobs],
-            parallelism=parallelism)
+            parallelism=args.parallelism)
     print(f"workload: {source}, {workload.total_hits} hits")
     print(f"NvWa:    {nvwa.cycles:>10,} cycles  "
           f"{nvwa.kreads_per_second:>12,.0f} Kreads/s  "
@@ -276,8 +260,12 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.runner import run_experiments
     for result in run_experiments(args.names, quick=args.quick,
                                   csv_dir=args.csv_dir,
-                                  exec_config=_execution_config(args)):
+                                  parallelism=args.parallelism):
         print(result.format())
+        panel = getattr(result, "panel", None)
+        if panel:
+            print("-- utilization over time --")
+            print(panel)
         print()
     return 0
 
@@ -573,14 +561,6 @@ def _existing_file(text: str) -> str:
     return text
 
 
-def _cache_dir(text: str) -> str:
-    parent = os.path.dirname(os.path.abspath(text)) or os.sep
-    if not os.path.isdir(parent):
-        raise argparse.ArgumentTypeError(
-            f"parent directory does not exist: {parent}")
-    return text
-
-
 #: Options several subcommands take, each declared once.
 _SHARED_OPTIONS = {
     "--index": dict(type=_existing_file,
@@ -588,9 +568,6 @@ _SHARED_OPTIONS = {
                          "memory-mapped instead of rebuilding the FM-index"),
     "--parallelism": dict(type=_AT_LEAST_ONE, default=1,
                           help="fan work out over N worker processes"),
-    "--cache-dir": dict(type=_cache_dir,
-                        help="memoize genomes/indexes/read sets/workloads "
-                             "here"),
     "--host": dict(default="127.0.0.1"),
     "--port": dict(type=_PORT, default=7878,
                    help="TCP port (0 = ephemeral)"),
@@ -678,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("accelerate",
                        help="simulate NvWa vs the SUs+EUs baseline",
-                       parents=_shared("--parallelism", "--cache-dir"))
+                       parents=_shared("--parallelism"))
     p.add_argument("--dataset", default="H.s.")
     p.add_argument("--reads", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
@@ -688,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_accelerate)
 
     p = sub.add_parser("experiments", help="regenerate paper exhibits",
-                       parents=_shared("--parallelism", "--cache-dir"))
+                       parents=_shared("--parallelism"))
     p.add_argument("names", nargs="*",
                    help="exhibit keys (fig11, table2, ...); empty = all")
     p.add_argument("--quick", action="store_true")
@@ -845,6 +822,12 @@ def _validate(parser: argparse.ArgumentParser,
               args: argparse.Namespace) -> None:
     """Reject option combinations no single ``type=`` can check."""
     command = getattr(args, "command", None)
+    if command == "experiments":
+        from repro.experiments.runner import EXPERIMENTS
+        unknown = [name for name in args.names if name not in EXPERIMENTS]
+        if unknown:
+            parser.error(f"unknown experiments {unknown}; known: "
+                         f"{', '.join(EXPERIMENTS)}")
     if command == "loadgen" and not args.reads_file and not args.reference:
         parser.error("loadgen needs --reference or --reads-file")
     if command == "cluster" and args.index and args.shards > 1:

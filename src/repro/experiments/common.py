@@ -4,14 +4,12 @@ Every experiment module exposes ``run(...) -> ExperimentResult`` that
 regenerates one paper exhibit (table or figure) — the same rows/series the
 paper reports, alongside the paper's published values for comparison.
 
-Execution policy (how hard to drive the machine while regenerating an
-exhibit) is carried separately from experiment parameters by
-:class:`ExecutionConfig`: worker parallelism for independent simulations
-and an artifact cache directory for the deterministic inputs (genomes,
-indexes, read sets, workloads).  The default is the serial, uncached
-reference path — identical numbers to the pre-runtime code — and the
-runner/CLI install a different policy via :func:`execution` without every
-experiment signature having to thread it through.
+Worker parallelism for independent simulations is carried separately
+from experiment parameters: the runner/CLI install a worker count via
+:func:`execution` and the parallel sweeps resolve it with
+:func:`resolve_execution`, without every experiment signature having to
+thread it through.  The default is ``1``, the serial reference path;
+every worker count yields identical numbers.
 """
 
 from __future__ import annotations
@@ -20,94 +18,28 @@ import csv
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    TextIO,
-    Union,
-)
+from typing import Any, Dict, Iterator, List, Optional, TextIO, Union
 
-if TYPE_CHECKING:  # imported lazily to keep experiment imports light
-    from repro.runtime.cache import ArtifactCache
-
-
-@dataclass(frozen=True)
-class ExecutionConfig:
-    """How experiment work is executed (not *what* is computed).
-
-    Attributes:
-        parallelism: worker processes for independent simulations; ``1``
-            is the serial reference path.
-        cache_dir: artifact cache directory; ``None`` disables caching.
-        shard_size: reads per shard for sharded (within-workload) runs.
-    """
-
-    parallelism: int = 1
-    cache_dir: Optional[str] = None
-    shard_size: int = 256
-
-    def __post_init__(self) -> None:
-        if self.parallelism <= 0:
-            raise ValueError(
-                f"parallelism must be positive, got {self.parallelism}")
-        if self.shard_size <= 0:
-            raise ValueError(
-                f"shard_size must be positive, got {self.shard_size}")
-
-    def cache(self) -> Optional["ArtifactCache"]:
-        """The artifact cache this policy names (``None`` when uncached)."""
-        if self.cache_dir is None:
-            return None
-        from repro.runtime.cache import ArtifactCache
-        return ArtifactCache(self.cache_dir)
-
-
-#: The default policy: serial, uncached — the bit-exact reference path.
-SERIAL_EXECUTION = ExecutionConfig()
-
-_active_execution = SERIAL_EXECUTION
-
-
-def execution_config() -> ExecutionConfig:
-    """The ambient execution policy experiments resolve against."""
-    return _active_execution
-
-
-def set_execution_config(config: Optional[ExecutionConfig]
-                         ) -> ExecutionConfig:
-    """Install ``config`` (``None`` = serial default); returns previous."""
-    global _active_execution
-    previous = _active_execution
-    _active_execution = config if config is not None else SERIAL_EXECUTION
-    return previous
+_active_parallelism = 1
 
 
 @contextmanager
-def execution(config: Optional[ExecutionConfig]) -> Iterator[ExecutionConfig]:
-    """Scoped installation of an execution policy."""
-    previous = set_execution_config(config)
+def execution(parallelism: Optional[int]) -> Iterator[int]:
+    """Scoped ambient worker count (``None`` = serial)."""
+    global _active_parallelism
+    active = 1 if parallelism is None else parallelism
+    if active <= 0:
+        raise ValueError(f"parallelism must be positive, got {active}")
+    previous, _active_parallelism = _active_parallelism, active
     try:
-        yield execution_config()
+        yield active
     finally:
-        set_execution_config(previous)
+        _active_parallelism = previous
 
 
-def resolve_execution(config: Optional[ExecutionConfig]) -> ExecutionConfig:
-    """An explicit policy if given, else the ambient one."""
-    return config if config is not None else execution_config()
-
-
-def experiment_workload(profile, reads: int, seed: int,
-                        exec_config: Optional[ExecutionConfig] = None):
-    """Synthetic workload routed through the policy's artifact cache."""
-    from repro.runtime.artifacts import cached_synthetic_workload
-    policy = resolve_execution(exec_config)
-    return cached_synthetic_workload(policy.cache(), profile, reads,
-                                     seed=seed)
+def resolve_execution(parallelism: Optional[int]) -> int:
+    """An explicit worker count if given, else the ambient one."""
+    return parallelism if parallelism is not None else _active_parallelism
 
 
 @dataclass

@@ -23,13 +23,8 @@ from repro.baselines.platforms import (
 )
 from repro.core import baseline
 from repro.core.config import NvWaConfig
-from repro.core.workload import Workload
-from repro.experiments.common import (
-    ExecutionConfig,
-    ExperimentResult,
-    experiment_workload,
-    resolve_execution,
-)
+from repro.core.workload import Workload, synthetic_workload
+from repro.experiments.common import ExperimentResult, resolve_execution
 from repro.genome.datasets import get_dataset
 from repro.runtime.sweep import sim_jobs, simulate_many
 
@@ -49,16 +44,16 @@ PAPER_ABLATIONS = {"+HUS": 3.32, "+OCRA": 1.73, "+HA (NvWa)": 2.38}
 def run(reads: int = 2000, seed: int = 1,
         workload: Optional[Workload] = None,
         base: Optional[NvWaConfig] = None,
-        exec_config: Optional[ExecutionConfig] = None) -> ExperimentResult:
+        parallelism: Optional[int] = None) -> ExperimentResult:
     """Regenerate Fig 11: ablation ladder + platform speedups."""
-    policy = resolve_execution(exec_config)
-    workload = workload if workload is not None else experiment_workload(
-        get_dataset("H.s."), reads, seed, exec_config=policy)
+    parallelism = resolve_execution(parallelism)
+    workload = workload if workload is not None else synthetic_workload(
+        get_dataset("H.s."), reads, seed=seed)
     stats = WorkloadStats.from_workload(workload)
 
     rungs = baseline.ablation_ladder(base)
     results = simulate_many(sim_jobs(list(rungs.values()), workload),
-                            parallelism=policy.parallelism)
+                            parallelism=parallelism)
     ladder: Dict[str, float] = {
         name: result.kreads_per_second
         for name, result in zip(rungs, results)}

@@ -16,13 +16,8 @@ from repro.analysis.dse import (
     sweep_interval_count,
     sweep_switch_threshold,
 )
-from repro.core.workload import Workload
-from repro.experiments.common import (
-    ExecutionConfig,
-    ExperimentResult,
-    experiment_workload,
-    resolve_execution,
-)
+from repro.core.workload import Workload, synthetic_workload
+from repro.experiments.common import ExperimentResult, resolve_execution
 from repro.genome.datasets import get_dataset
 
 
@@ -32,13 +27,12 @@ def run(reads: int = 2500, seed: int = 3,
         switch_thresholds: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
         idle_fractions: Sequence[float] = (0.0, 0.15, 0.4),
         workload: Optional[Workload] = None,
-        exec_config: Optional[ExecutionConfig] = None) -> ExperimentResult:
+        parallelism: Optional[int] = None) -> ExperimentResult:
     """Regenerate the paper's two sweeps plus the two threshold knobs it
     fixes by example (75 % switch, 15 % idle trigger)."""
-    policy = resolve_execution(exec_config)
-    workload = workload if workload is not None else experiment_workload(
-        get_dataset("H.s."), reads, seed, exec_config=policy)
-    parallelism = policy.parallelism
+    parallelism = resolve_execution(parallelism)
+    workload = workload if workload is not None else synthetic_workload(
+        get_dataset("H.s."), reads, seed=seed)
     rows = []
     depth_points = sweep_buffer_depth(workload, depths=depths,
                                       parallelism=parallelism)

@@ -14,12 +14,8 @@ from typing import Optional, Sequence
 from repro.analysis.distributions import dataset_interval_table
 from repro.baselines.platforms import CPU_BWA_MEM, WorkloadStats
 from repro.core import baseline
-from repro.experiments.common import (
-    ExecutionConfig,
-    ExperimentResult,
-    experiment_workload,
-    resolve_execution,
-)
+from repro.core.workload import synthetic_workload
+from repro.experiments.common import ExperimentResult, resolve_execution
 from repro.genome.datasets import (
     DatasetProfile,
     long_read_datasets,
@@ -30,20 +26,20 @@ from repro.runtime.sweep import simulate_many
 
 def run(reads_per_dataset: int = 800, seed: int = 4,
         profiles: Optional[Sequence[DatasetProfile]] = None,
-        exec_config: Optional[ExecutionConfig] = None,
+        parallelism: Optional[int] = None,
         ) -> ExperimentResult:
     """Regenerate Fig 14(a)'s speedups and Fig 14(b)'s distributions."""
-    policy = resolve_execution(exec_config)
+    parallelism = resolve_execution(parallelism)
     profiles = list(profiles) if profiles is not None else \
         short_read_datasets() + long_read_datasets()
 
     config = baseline.nvwa()
-    workloads = [experiment_workload(profile, reads_per_dataset, seed + idx,
-                                     exec_config=policy)
+    workloads = [synthetic_workload(profile, reads_per_dataset,
+                                    seed=seed + idx)
                  for idx, profile in enumerate(profiles)]
     results = simulate_many([(config, workload, None)
                              for workload in workloads],
-                            parallelism=policy.parallelism)
+                            parallelism=parallelism)
 
     rows = []
     speedups = {}

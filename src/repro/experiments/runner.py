@@ -1,26 +1,25 @@
-"""Run every experiment and print the regenerated exhibits.
+"""The experiment registry behind ``python -m repro experiments``.
 
-Usage::
+:data:`EXPERIMENTS` maps each exhibit key to its full-scale and quick
+callables; :func:`run_experiments` runs a selection of them.  The CLI
+(:mod:`repro.cli`) is the one command-line entry point::
 
-    python -m repro.experiments.runner              # everything
-    python -m repro.experiments.runner fig11 fig13  # a subset
-    python -m repro.experiments.runner --quick      # smaller workloads
-    python -m repro.experiments.runner --csv-dir out/  # + CSV per exhibit
-    python -m repro.experiments.runner --parallelism 4 --cache-dir .cache/
+    python -m repro experiments              # everything
+    python -m repro experiments fig11 fig13  # a subset
+    python -m repro experiments --quick      # smaller workloads
+    python -m repro experiments --csv-dir out/  # + CSV per exhibit
+    python -m repro experiments --parallelism 4
 
 ``--parallelism`` fans independent simulations out across worker
-processes and ``--cache-dir`` memoizes the deterministic inputs
-(genomes, indexes, read sets, workloads) on disk; both leave the
-regenerated numbers bit-identical to the serial, uncached run.
+processes; the regenerated numbers are bit-identical to the serial run.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from typing import Callable, Dict, List, Optional
 
-from repro.experiments.common import ExecutionConfig, execution
+from repro.experiments.common import execution
 from repro.experiments import (
     energy_comparison,
     fig02_breakdown,
@@ -74,14 +73,13 @@ EXPERIMENTS: Dict[str, Dict[str, Callable]] = {
 
 def run_experiments(names: List[str], quick: bool = False,
                     csv_dir: Optional[str] = None,
-                    exec_config: Optional[ExecutionConfig] = None) -> List:
+                    parallelism: Optional[int] = None) -> List:
     """Run the named experiments (all when empty); returns the results.
 
     With ``csv_dir`` set, each exhibit's rows are also written to
-    ``<csv_dir>/<name>.csv``.  ``exec_config`` installs an execution
-    policy (parallel workers, artifact cache) for the duration of the
-    run; experiments resolve it ambiently, so the registry's zero-arg
-    callables need no threading-through.
+    ``<csv_dir>/<name>.csv``.  ``parallelism`` installs a worker count
+    for the duration of the run; experiments resolve it ambiently, so
+    the registry's zero-arg callables need no threading-through.
     """
     selected = names or list(EXPERIMENTS)
     unknown = [n for n in selected if n not in EXPERIMENTS]
@@ -90,7 +88,7 @@ def run_experiments(names: List[str], quick: bool = False,
         raise KeyError(f"unknown experiments {unknown}; known: {known}")
     mode = "quick" if quick else "full"
     results = []
-    with execution(exec_config):
+    with execution(parallelism):
         for name in selected:
             result = EXPERIMENTS[name][mode]()
             if csv_dir is not None:
@@ -98,43 +96,3 @@ def run_experiments(names: List[str], quick: bool = False,
                 result.to_csv(os.path.join(csv_dir, f"{name}.csv"))
             results.append(result)
     return results
-
-
-def _pop_option(args: List[str], flag: str) -> Optional[str]:
-    """Remove ``flag VALUE`` from ``args``; returns VALUE or ``None``."""
-    if flag not in args:
-        return None
-    idx = args.index(flag)
-    try:
-        value = args[idx + 1]
-    except IndexError:
-        raise SystemExit(f"{flag} requires an argument") from None
-    del args[idx:idx + 2]
-    return value
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    quick = "--quick" in args
-    csv_dir = _pop_option(args, "--csv-dir")
-    parallelism = _pop_option(args, "--parallelism")
-    cache_dir = _pop_option(args, "--cache-dir")
-    exec_config = None
-    if parallelism is not None or cache_dir is not None:
-        exec_config = ExecutionConfig(
-            parallelism=int(parallelism) if parallelism is not None else 1,
-            cache_dir=cache_dir)
-    names = [a for a in args if not a.startswith("--")]
-    for result in run_experiments(names, quick=quick, csv_dir=csv_dir,
-                                  exec_config=exec_config):
-        print(result.format())
-        panel = getattr(result, "panel", None)
-        if panel:
-            print("-- utilization over time --")
-            print(panel)
-        print()
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -3,13 +3,14 @@
 NvWa's argument is that throughput must survive adversarial per-read
 variance; a production serving stack additionally has to survive
 adversarial *infrastructure* — workers die, connections drop mid-write,
-cache files get torn, shard processes are OOM-killed.  This package is
+index files get torn, shard processes are OOM-killed.  This package is
 the resilience substrate the service and runtime layers share:
 
 - :mod:`repro.faults.plan` — seeded :class:`FaultPlan`/:class:`
   FaultInjector`: a deterministic schedule of typed faults (worker
-  crash, engine latency spike, connection drop/partial write, cache
-  corruption, shard-worker death) consulted by shims at each boundary.
+  crash, engine latency spike, connection drop/partial write,
+  shard-worker death, cluster-backend death) consulted by shims at each
+  boundary.
   Same seed ⇒ same schedule, always.
 - :mod:`repro.faults.retry` — :class:`RetryPolicy`: exponential backoff
   with deterministic jitter and a hard deadline budget, used by the
@@ -38,13 +39,11 @@ from repro.faults.injectors import (
     corrupt_file,
 )
 from repro.faults.plan import (
-    CACHE_CORRUPT,
     CONN_DROP,
     FAULT_KINDS,
     LATENCY_SPIKE,
     NAMED_PLANS,
     SHARD_KILL,
-    SITE_CACHE_LOAD,
     SITE_CONN_WRITE,
     SITE_ENGINE,
     SITE_SHARD,
@@ -59,7 +58,6 @@ from repro.faults.plan import (
 from repro.faults.retry import RetryPolicy
 
 __all__ = [
-    "CACHE_CORRUPT",
     "CLOSED",
     "CONN_DROP",
     "CircuitBreaker",
@@ -79,7 +77,6 @@ __all__ = [
     "RetryPolicy",
     "SHARD_KILL",
     "SITES",
-    "SITE_CACHE_LOAD",
     "SITE_CONN_WRITE",
     "SITE_ENGINE",
     "SITE_SHARD",

@@ -4,9 +4,9 @@ One :func:`run_chaos` call is a complete resilience acceptance run: it
 builds a deterministic workload, executes a fault-free baseline, then
 replays the identical workload with a named seeded :class:`~repro.
 faults.plan.FaultPlan` armed across every boundary — the service's
-engine and connection writes, the sharded runtime's worker processes,
-and the artifact cache — and asserts the invariants that make fault
-injection worth having:
+engine and connection writes and the sharded runtime's worker
+processes — and asserts the invariants that make fault injection worth
+having:
 
 1. **Reproducible schedule** — two plans built from the same
    ``(name, seed)`` preview byte-identical decision sequences at every
@@ -20,13 +20,11 @@ injection worth having:
 4. **Bit-identical sharded results** — a sharded alignment that lost a
    worker to an injected SIGKILL merges to exactly the undisturbed
    run's output.
-5. **Cache self-healing** — an injected torn cache entry is detected,
-   evicted, counted, and rebuilt to the original artifact.
-6. **Index-store self-healing** — a torn on-disk FM-index store is
+5. **Index-store self-healing** — a torn on-disk FM-index store is
    detected by its checksummed header, rebuilt, and the recovered index
    produces byte-identical SAM (a corrupted index can never silently
    misalign reads).
-7. **Coverage** — every fault kind the plan declares actually fired.
+6. **Coverage** — every fault kind the plan declares actually fired.
 
 With ``cluster_backends > 0`` the run additionally drives a replicated
 ``repro.cluster`` gateway over real backend processes and gates three
@@ -56,7 +54,6 @@ from repro import obs
 from repro.faults.breaker import CLOSED
 from repro.faults.plan import (
     BACKEND_KILL,
-    CACHE_CORRUPT,
     SHARD_KILL,
     SITE_CLUSTER,
     FaultInjector,
@@ -412,39 +409,8 @@ def _cluster_phase(reference: Any, specs: Any, seed: int, requests: int,
     return result
 
 
-def _cache_phase(injector: Optional[FaultInjector]
-                 ) -> Tuple[bool, int, str]:
-    """Store, corrupt-on-load, rebuild; ``(recovered, corrupt, detail)``."""
-    from repro.runtime.cache import ArtifactCache
-
-    artifact = {"table": list(range(512)), "tag": "chaos"}
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-cache-") as tmp:
-        cache = ArtifactCache(tmp, fault_injector=injector)
-        built, hit = cache.get_or_build("chaos-artifact", {"n": 512},
-                                        lambda: dict(artifact))
-        if hit or built != artifact:
-            return False, cache.stats.corrupt, "initial build went wrong"
-        # This load crosses the cache_load site; a cache_corrupt event
-        # truncates the entry first, which must read as a miss+rebuild.
-        rebuilt, _ = cache.get_or_build("chaos-artifact", {"n": 512},
-                                        lambda: dict(artifact))
-        if rebuilt != artifact:
-            return False, cache.stats.corrupt, "rebuild diverged"
-        again, hit = cache.get_or_build("chaos-artifact", {"n": 512},
-                                        lambda: dict(artifact))
-        if again != artifact:
-            return False, cache.stats.corrupt, "post-rebuild read diverged"
-        return True, cache.stats.corrupt, ""
-
-
 def _index_phase(reference: Any, reads: Any) -> Tuple[bool, str]:
-    """Tear the on-disk index store; recovery must be bit-identical.
-
-    Uses :func:`~repro.faults.injectors.corrupt_file` directly rather
-    than the run's shared injector: the injector's scheduled
-    ``cache_corrupt`` events belong to the cache phase, and consuming
-    one here would silently change that phase's expected schedule.
-    """
+    """Tear the on-disk index store; recovery must be bit-identical."""
     import os
 
     from repro.align.pipeline import SoftwareAligner
@@ -728,21 +694,7 @@ def run_chaos(plan_name: str = "ci-default", seed: int = 7,
         f"{sum(1 for a, b in zip(base_sam, chaos_sam) if a != b)} of "
         f"{len(base_sam)} records diverged"))
 
-    with obs.span("chaos_cache", "chaos"):
-        recovered, corrupt, detail = _cache_phase(injector)
     report.fired = injector.fired_counts()
-    # The cache check is self-consistent with the actual schedule: when
-    # a cache_corrupt event fired, the corrupt counter must show the
-    # eviction; when none fired (e.g. a rate-based plan that stayed
-    # quiet), the counter must stay zero.
-    injected_corruption = report.fired.get(CACHE_CORRUPT, 0) >= 1
-    cache_ok = recovered and (corrupt >= 1 if injected_corruption
-                              else corrupt == 0)
-    report.invariants.append(Invariant(
-        "cache_recovers_from_corruption", cache_ok,
-        detail or ("" if cache_ok else
-                   f"corrupt counter {corrupt}, injected corruption: "
-                   f"{injected_corruption}")))
 
     with obs.span("chaos_index", "chaos"):
         index_ok, index_detail = _index_phase(

@@ -10,8 +10,8 @@ applies the returned fault, so *what* goes wrong stays in the plan and
 - :class:`FlakyEngine` is the call-scheduled chaos engine that used to
   live inside :mod:`repro.service.engine`; relocated and generalized
   (any exception factory, not just ``RuntimeError``).
-- :func:`corrupt_file` is the cache-corruption primitive
-  (:data:`~repro.faults.plan.SITE_CACHE_LOAD` truncates entries with it).
+- :func:`corrupt_file` is the torn-write primitive (the chaos harness
+  truncates an index store with it).
 - :class:`IdempotencyCache` is the server-side dedup table that makes
   client retries safe: a retried request carrying the same idempotency
   key is answered from the completed-payload cache instead of being

@@ -28,7 +28,6 @@ kind                      simulates
 ``latency_spike``         a pathological read stalling an engine
 ``conn_drop``             a connection dropped (optionally after a
                           partial write) mid-response
-``cache_corrupt``         a torn/truncated artifact cache file
 ``shard_kill``            a shard worker process SIGKILLed
 ``backend_kill``          a cluster backend process SIGKILLed
                           mid-load (the supervisor must restart it)
@@ -46,22 +45,19 @@ from typing import Dict, List, Optional, Tuple
 WORKER_CRASH = "worker_crash"
 LATENCY_SPIKE = "latency_spike"
 CONN_DROP = "conn_drop"
-CACHE_CORRUPT = "cache_corrupt"
 SHARD_KILL = "shard_kill"
 BACKEND_KILL = "backend_kill"
 
-FAULT_KINDS = (WORKER_CRASH, LATENCY_SPIKE, CONN_DROP, CACHE_CORRUPT,
-               SHARD_KILL, BACKEND_KILL)
+FAULT_KINDS = (WORKER_CRASH, LATENCY_SPIKE, CONN_DROP, SHARD_KILL,
+               BACKEND_KILL)
 
 #: Injection sites (boundary names the shims use).
 SITE_ENGINE = "engine"            # AlignmentEngine.execute (service worker)
 SITE_CONN_WRITE = "conn_write"    # server → client response write
-SITE_CACHE_LOAD = "cache_load"    # ArtifactCache.load of an existing entry
 SITE_SHARD = "shard_worker"       # ShardedRunner.align worker process
 SITE_CLUSTER = "cluster_backend"  # chaos cluster-phase kill checkpoints
 
-SITES = (SITE_ENGINE, SITE_CONN_WRITE, SITE_CACHE_LOAD, SITE_SHARD,
-         SITE_CLUSTER)
+SITES = (SITE_ENGINE, SITE_CONN_WRITE, SITE_SHARD, SITE_CLUSTER)
 
 
 @dataclass(frozen=True)
@@ -76,8 +72,7 @@ class FaultSpec:
             seeded stream (0 disables; combines with ``at_calls``).
         param: kind-specific knob — latency seconds for
             ``latency_spike``, fraction of the response line written
-            before the drop for ``conn_drop``, fraction of the cache
-            file kept for ``cache_corrupt``.
+            before the drop for ``conn_drop``.
         max_fires: cap on total firings (None = unbounded).
     """
 
@@ -237,7 +232,6 @@ def _ci_default(seed: int) -> FaultPlan:
         FaultSpec(LATENCY_SPIKE, SITE_ENGINE, at_calls=(4,), param=0.05),
         FaultSpec(CONN_DROP, SITE_CONN_WRITE, at_calls=(3,), param=0.0),
         FaultSpec(CONN_DROP, SITE_CONN_WRITE, at_calls=(9,), param=0.5),
-        FaultSpec(CACHE_CORRUPT, SITE_CACHE_LOAD, at_calls=(1,)),
         FaultSpec(SHARD_KILL, SITE_SHARD, at_calls=(2,)),
         FaultSpec(BACKEND_KILL, SITE_CLUSTER, at_calls=(1,)),
     ))
@@ -251,7 +245,6 @@ def _soak(seed: int) -> FaultPlan:
                   max_fires=10),
         FaultSpec(CONN_DROP, SITE_CONN_WRITE, rate=0.03, param=0.5,
                   max_fires=8),
-        FaultSpec(CACHE_CORRUPT, SITE_CACHE_LOAD, rate=0.5, max_fires=2),
         FaultSpec(SHARD_KILL, SITE_SHARD, rate=0.25, max_fires=2),
     ))
 

@@ -94,13 +94,6 @@ class ErrorModel:
             length += 1
         return length
 
-    def params(self) -> dict:
-        """Canonical parameters (cache key material for simulated reads)."""
-        return {"substitution_rate": self.substitution_rate,
-                "insertion_rate": self.insertion_rate,
-                "deletion_rate": self.deletion_rate,
-                "max_indel_length": self.max_indel_length}
-
 
 #: Error model matching 2nd-generation (Illumina) characteristics.
 ILLUMINA = ErrorModel(substitution_rate=0.001, insertion_rate=0.0001,
@@ -138,19 +131,6 @@ class ReadSimulator:
             raise ValueError(
                 f"read_length {self.read_length} exceeds longest chromosome "
                 f"({max_chrom})")
-
-    def params(self) -> dict:
-        """Canonical sampler parameters, excluding the reference itself.
-
-        Combined with the reference's own parameters this fully determines
-        the simulated read set — the cache key contract used by
-        :func:`repro.runtime.artifacts.cached_read_set`.
-        """
-        return {"read_length": self.read_length,
-                "error_model": self.error_model.params(),
-                "seed": self.seed,
-                "both_strands": self.both_strands,
-                "quality_base": self.quality_base}
 
     def simulate(self, count: int) -> List[Read]:
         """Generate ``count`` reads deterministically from the seed."""

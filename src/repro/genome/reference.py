@@ -160,25 +160,6 @@ class SyntheticReference:
         self.seed = seed
         self.repeat_families = repeat_families
 
-    def params(self) -> dict:
-        """Canonical generator parameters.
-
-        Everything :meth:`build` depends on, in JSON-stable form — the
-        cache key contract used by
-        :func:`repro.runtime.artifacts.cached_reference`.  Custom repeat
-        families are flattened into ``(consensus, copies, divergence)``
-        triples; ``None`` means the scaled default library.
-        """
-        families = None
-        if self.repeat_families is not None:
-            families = [[f.consensus, f.copies, f.divergence]
-                        for f in self.repeat_families]
-        return {"length": self.length,
-                "chromosomes": self.n_chromosomes,
-                "gc_content": self.gc_content,
-                "seed": self.seed,
-                "repeat_families": families}
-
     def build(self) -> ReferenceGenome:
         """Generate the genome deterministically from the seed."""
         rng = random.Random(self.seed)

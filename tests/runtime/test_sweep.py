@@ -7,14 +7,7 @@ import pytest
 from repro.core.accelerator import NvWaAccelerator
 from repro.core.config import NvWaConfig
 from repro.core.workload import synthetic_workload
-from repro.experiments.common import (
-    SERIAL_EXECUTION,
-    ExecutionConfig,
-    execution,
-    execution_config,
-    resolve_execution,
-    set_execution_config,
-)
+from repro.experiments.common import execution, resolve_execution
 from repro.genome.datasets import get_dataset
 from repro.runtime.sweep import SweepResult, sim_jobs, simulate_many
 
@@ -66,86 +59,63 @@ class TestSimulateMany:
 
 class TestExecutionPolicy:
     def test_default_is_serial(self):
-        assert execution_config() == SERIAL_EXECUTION
-        assert SERIAL_EXECUTION.parallelism == 1
-        assert SERIAL_EXECUTION.cache_dir is None
+        assert resolve_execution(None) == 1
 
-    def test_context_manager_scopes(self, tmp_path):
-        policy = ExecutionConfig(parallelism=2, cache_dir=str(tmp_path))
-        with execution(policy) as active:
-            assert active is policy
-            assert execution_config() is policy
-        assert execution_config() == SERIAL_EXECUTION
+    def test_context_manager_scopes(self):
+        with execution(2) as active:
+            assert active == 2
+            assert resolve_execution(None) == 2
+        assert resolve_execution(None) == 1
 
     def test_set_and_restore(self):
-        policy = ExecutionConfig(parallelism=3)
-        previous = set_execution_config(policy)
-        try:
-            assert execution_config() is policy
-        finally:
-            set_execution_config(previous)
-        assert execution_config() == SERIAL_EXECUTION
+        with execution(3):
+            with pytest.raises(RuntimeError):
+                with execution(5):
+                    raise RuntimeError("experiment failed")
+            assert resolve_execution(None) == 3
+        assert resolve_execution(None) == 1
 
     def test_none_resets_to_serial(self):
-        set_execution_config(ExecutionConfig(parallelism=5))
-        set_execution_config(None)
-        assert execution_config() == SERIAL_EXECUTION
+        with execution(5):
+            with execution(None) as active:
+                assert active == 1
+                assert resolve_execution(None) == 1
 
     def test_resolve_explicit_wins(self):
-        explicit = ExecutionConfig(parallelism=7)
-        with execution(ExecutionConfig(parallelism=2)):
-            assert resolve_execution(explicit) is explicit
-            assert resolve_execution(None).parallelism == 2
+        with execution(2):
+            assert resolve_execution(7) == 7
+            assert resolve_execution(None) == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ExecutionConfig(parallelism=0)
-        with pytest.raises(ValueError):
-            ExecutionConfig(shard_size=0)
-
-    def test_cache_accessor(self, tmp_path):
-        assert ExecutionConfig().cache() is None
-        cache = ExecutionConfig(cache_dir=str(tmp_path)).cache()
-        assert cache is not None
-        assert cache.cache_dir == str(tmp_path)
+            with execution(0):
+                pass
+        assert resolve_execution(None) == 1
 
 
 class TestExperimentParity:
-    """Experiments produce identical rows under any execution policy."""
+    """Experiments produce identical rows for any worker count."""
 
-    def test_fig13_quick_parity(self, tmp_path):
+    def test_fig13_quick_parity(self):
         from repro.experiments import fig13_dse
-        serial = fig13_dse.run(reads=120, depths=(64, 1024),
-                               interval_counts=(1, 4),
-                               switch_thresholds=(0.75,),
-                               idle_fractions=(0.15,))
-        policy = ExecutionConfig(parallelism=2, cache_dir=str(tmp_path))
-        parallel = fig13_dse.run(reads=120, depths=(64, 1024),
-                                 interval_counts=(1, 4),
-                                 switch_thresholds=(0.75,),
-                                 idle_fractions=(0.15,),
-                                 exec_config=policy)
-        warm = fig13_dse.run(reads=120, depths=(64, 1024),
-                             interval_counts=(1, 4),
-                             switch_thresholds=(0.75,),
-                             idle_fractions=(0.15,),
-                             exec_config=policy)
-        assert serial.rows == parallel.rows == warm.rows
+        kwargs = dict(reads=120, depths=(64, 1024), interval_counts=(1, 4),
+                      switch_thresholds=(0.75,), idle_fractions=(0.15,))
+        serial = fig13_dse.run(**kwargs)
+        parallel = fig13_dse.run(**kwargs, parallelism=2)
+        assert serial.rows == parallel.rows
 
     def test_fig11_quick_parity(self):
         from repro.experiments import fig11_throughput
         serial = fig11_throughput.run(reads=150)
-        parallel = fig11_throughput.run(
-            reads=150, exec_config=ExecutionConfig(parallelism=2))
+        parallel = fig11_throughput.run(reads=150, parallelism=2)
         assert serial.rows == parallel.rows
 
     def test_runner_flags(self, tmp_path):
-        from repro.experiments.runner import main
+        from repro.cli import main
         csv_dir = tmp_path / "csv"
-        code = main(["fig13", "--quick", "--parallelism", "2",
-                     "--cache-dir", str(tmp_path / "cache"),
+        code = main(["experiments", "fig13", "--quick", "--parallelism", "2",
                      "--csv-dir", str(csv_dir)])
         assert code == 0
         assert (csv_dir / "fig13.csv").exists()
-        # The ambient policy was restored after the run.
-        assert execution_config() == SERIAL_EXECUTION
+        # The ambient worker count was restored after the run.
+        assert resolve_execution(None) == 1

@@ -244,6 +244,22 @@ class TestExperiments:
         out = capsys.readouterr().out
         assert "Figure 7" in out and "Table II" in out
 
+    def test_prints_the_utilization_panel(self, capsys, monkeypatch):
+        from repro.experiments import runner
+        from repro.experiments.common import ExperimentResult
+
+        def stub():
+            result = ExperimentResult(exhibit="Stub", title="panel probe")
+            result.panel = "SU |####    |"
+            return result
+
+        monkeypatch.setitem(runner.EXPERIMENTS, "stub",
+                            {"full": stub, "quick": stub})
+        assert main(["experiments", "stub", "--quick"]) == 0
+        out = capsys.readouterr().out
+        assert "== Stub: panel probe ==" in out
+        assert "-- utilization over time --\nSU |####    |" in out
+
 
 def _module_env():
     """Subprocess env whose PYTHONPATH resolves repro from anywhere."""
@@ -296,20 +312,16 @@ class TestInputValidation:
         assert "argument --parallelism: must be >= 1" in \
             capsys.readouterr().err
 
-    def test_missing_cache_dir_parent_rejected(self, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["experiments", "fig99"], "unknown experiments ['fig99']"),
+        (["experiments", "--no-such-flag"],
+         "unrecognized arguments: --no-such-flag"),
+    ])
+    def test_experiments_rejects_unknown_input(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:
-            main(["accelerate", "--cache-dir",
-                  "/nonexistent-root/deeper/cache"])
+            main(argv)
         assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "argument --cache-dir: parent directory does not exist" \
-            in err
-
-    def test_existing_cache_dir_parent_accepted(self, tmp_path, capsys):
-        code = main(["accelerate", "--dataset", "C.e.", "--reads", "100",
-                     "--cache-dir", str(tmp_path / "fresh-cache")])
-        assert code == 0
-        assert "scheduling speedup" in capsys.readouterr().out
+        assert message in capsys.readouterr().err
 
     def test_loadgen_requires_a_read_source(self, capsys):
         with pytest.raises(SystemExit):
