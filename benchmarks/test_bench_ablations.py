@@ -127,8 +127,7 @@ def test_bench_equal_area_uniform_variant(benchmark, matched_workload):
     per_unit = hybrid.total_pes // hybrid.num_extension_units
     equal_area = replace(hybrid,
                          eu_config=((per_unit,
-                                     hybrid.num_extension_units),),
-                         use_hybrid_units=True)
+                                     hybrid.num_extension_units),))
 
     def sweep():
         return (_run(hybrid, matched_workload),

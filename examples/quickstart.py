@@ -13,6 +13,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.align import SoftwareAligner
+from repro.analysis.distributions import workload_interval_stats
 from repro.core import NvWaAccelerator, baseline, workload_from_pipeline
 from repro.genome import ErrorModel, ReadSimulator, SyntheticReference
 
@@ -52,7 +53,8 @@ def main() -> None:
     print("\n=== 3. Accelerator workload from the measured work ===")
     workload = workload_from_pipeline(results)
     print(f"{len(workload)} read tasks, {workload.total_hits} extension "
-          f"hits; interval histogram {workload.interval_histogram()}")
+          f"hits; interval histogram "
+          f"{list(workload_interval_stats(workload).counts)}")
 
     print("\n=== 4. Cycle simulation: NvWa vs unscheduled SUs+EUs ===")
     # A quarter-scale accelerator so this 120-read demo spans many read

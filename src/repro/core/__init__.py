@@ -20,11 +20,8 @@ from repro.core.allocator import (
     ReadInBatchAllocator,
 )
 from repro.core.hybrid_units import (
-    IntervalPartition,
     PoolExecution,
-    assignment_is_optimal,
     execute_on_pool,
-    expand_pool,
     paper_unit_mix,
     solve_unit_mix,
 )
@@ -80,8 +77,7 @@ __all__ = [
     "UnitState",
     "PAPER_CONFIG", "PAPER_EU_CONFIG", "PAPER_TOTAL_PES", "NvWaConfig",
     "AllocationResult", "OneCycleReadAllocator", "ReadInBatchAllocator",
-    "IntervalPartition", "PoolExecution", "assignment_is_optimal",
-    "execute_on_pool", "expand_pool", "paper_unit_mix", "solve_unit_mix",
+    "PoolExecution", "execute_on_pool", "paper_unit_mix", "solve_unit_mix",
     "EUGroup", "FIFOAllocator", "HitsAllocator", "HitsBuffer", "Placement",
     "PooledAllocator", "StrictClassAllocator",
     "build_groups", "split_thresholds",

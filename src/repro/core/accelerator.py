@@ -2,13 +2,16 @@
 
 Wires the five architecture parts of Fig 4 — SUs behind the Seeding
 Scheduler, EUs behind the Extension Scheduler, and the Coordinator between
-them — over the discrete-event engine. Feature flags in
-:class:`~repro.core.config.NvWaConfig` disable each mechanism, yielding the
-SUs+EUs baseline and the Fig 11 ablations from the same model:
+them — over the discrete-event engine. Knobs in
+:class:`~repro.core.config.NvWaConfig` swap each mechanism out, yielding
+the SUs+EUs baseline and the Fig 11 ablations from the same model:
 
 - ``use_ocra=False`` → Read-in-Batch seeding (Fig 5(a));
-- ``use_hybrid_units=False`` → uniform EU pool (Fig 9(b));
-- ``use_hits_allocator=False`` → FIFO hit dispatch (no length matching).
+- ``eu_config`` of one class (``uniform_variant()``) → uniform EU pool
+  (Fig 9(b));
+- ``allocator_policy`` → hit dispatch: ``"grouped"`` (the Hits Allocator,
+  Fig 10), ``"pooled"`` / ``"strict"`` (Sec. IV-D's basic methods (2) and
+  (1)) or ``"fifo"`` (no length matching).
 """
 
 from __future__ import annotations
@@ -135,10 +138,6 @@ class _Simulation:
     """One run's mutable state (kept off the public accelerator object)."""
 
     def __init__(self, config: NvWaConfig, workload: Workload):
-        if not config.use_hybrid_units and len(config.eu_classes) > 1:
-            # The flag is authoritative: a non-hybrid run always uses the
-            # uniform pool, whatever eu_config the caller handed in.
-            config = config.uniform_variant()
         self.config = config
         self.workload = workload
         self.engine = Engine()

@@ -136,7 +136,7 @@ class ReadInBatchAllocator:
     def exhausted(self) -> bool:
         return self.next_read >= self.total_reads
 
-    def allocate_batch(self, status: Sequence[int]) -> AllocationResult:
+    def allocate(self, status: Sequence[int]) -> AllocationResult:
         """Issue the next batch — only legal when *all* units are idle."""
         arr = np.asarray(status, dtype=np.int8)
         if arr.size != self.num_units:

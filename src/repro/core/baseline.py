@@ -26,8 +26,7 @@ SMALL_FIFO_DEPTH = 64
 def nvwa(base: Optional[NvWaConfig] = None) -> NvWaConfig:
     """Full NvWa: all three mechanisms on."""
     base = base or NvWaConfig()
-    return replace(base, use_ocra=True, use_hybrid_units=True,
-                   allocator_policy="grouped")
+    return replace(base, use_ocra=True, allocator_policy="grouped")
 
 
 def sus_eus_baseline(base: Optional[NvWaConfig] = None) -> NvWaConfig:
@@ -44,16 +43,14 @@ def with_hybrid_units(base: Optional[NvWaConfig] = None) -> NvWaConfig:
     Read-in-Batch.
     """
     base = base or NvWaConfig()
-    return replace(base, use_ocra=False, use_hybrid_units=True,
-                   allocator_policy="pooled",
+    return replace(base, use_ocra=False, allocator_policy="pooled",
                    hits_buffer_depth=SMALL_FIFO_DEPTH)
 
 
 def with_ocra(base: Optional[NvWaConfig] = None) -> NvWaConfig:
     """+HUS + One-Cycle Read Allocator (Fig 11 '+OCRA')."""
     base = base or NvWaConfig()
-    return replace(base, use_ocra=True, use_hybrid_units=True,
-                   allocator_policy="pooled",
+    return replace(base, use_ocra=True, allocator_policy="pooled",
                    hits_buffer_depth=SMALL_FIFO_DEPTH)
 
 

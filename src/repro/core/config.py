@@ -24,12 +24,16 @@ PAPER_TOTAL_PES = 2880
 class NvWaConfig:
     """Full accelerator configuration.
 
-    Feature flags (`use_*`) switch each scheduling mechanism on/off,
-    enabling the paper's ablations (Fig 11: +HUS, +OCRA, +HA) and the
-    SUs+EUs baseline (all off).
+    Three knobs select the scheduling mechanisms of the paper's ablations
+    (Fig 11: +HUS, +OCRA, +HA) and the SUs+EUs baseline: ``eu_config``
+    is the EU pool, hybrid or uniform (``uniform_variant()``);
+    ``use_ocra`` picks the read allocator; ``allocator_policy`` picks the
+    hit dispatch.
     """
 
     num_seeding_units: int = 128
+    #: EU pool: ``(PE count, unit count)`` per class, PE counts strictly
+    #: ascending. Units are numbered in this order.
     eu_config: Tuple[Tuple[int, int], ...] = tuple(
         sorted(PAPER_EU_CONFIG.items()))
     frequency_hz: float = 1e9
@@ -69,7 +73,6 @@ class NvWaConfig:
 
     # Scheduling feature flags.
     use_ocra: bool = True          # One-Cycle Read Allocator vs batch
-    use_hybrid_units: bool = True  # Hybrid Units Strategy vs uniform
     #: Hit dispatch policy: "grouped" = the paper's Hits Allocator (Fig 10),
     #: "pooled" = basic method (2) (one shared group, optimal-first),
     #: "strict" = basic method (1) (per-class groups, optimal-only),
@@ -104,6 +107,9 @@ class NvWaConfig:
             if pe <= 0 or count <= 0:
                 raise ValueError(
                     f"invalid EU class ({pe} PEs x {count} units)")
+        if any(a >= b for a, b in zip(self.eu_classes, self.eu_classes[1:])):
+            raise ValueError(
+                f"EU classes must be strictly ascending, got {self.eu_classes}")
         if not 0.0 < self.switch_threshold <= 1.0:
             raise ValueError("switch_threshold must be in (0, 1]")
         if not 0.0 <= self.idle_trigger_fraction <= 1.0:
@@ -144,8 +150,7 @@ class NvWaConfig:
         classes = self.eu_classes
         pe = classes[len(classes) // 2]
         count = max(1, self.total_pes // pe)
-        return replace(self, eu_config=((pe, count),),
-                       use_hybrid_units=False)
+        return replace(self, eu_config=((pe, count),))
 
     def baseline_variant(self) -> "NvWaConfig":
         """The non-scheduled SUs+EUs design (all mechanisms off)."""

@@ -155,10 +155,8 @@ def split_thresholds(groups: Sequence[EUGroup]) -> List[float]:
     example's hit of length 40 (√(32·64) ≈ 45) in the upper group, as the
     paper shows.
     """
-    bounds = []
-    for a, b in zip(groups, groups[1:]):
-        bounds.append(math.sqrt(a.max_class * min(b.classes)))
-    return bounds
+    return [math.sqrt(a.max_class * min(b.classes))
+            for a, b in zip(groups, groups[1:])]
 
 
 @dataclass(frozen=True)
@@ -171,16 +169,73 @@ class Placement:
     optimal: bool
 
 
-class HitsAllocator:
-    """Greedy low-latency allocation of a hit batch to idle EUs."""
+class _GreedyAllocator:
+    """The one greedy placement loop behind every Sec. IV-D policy. A
+    policy is only the order its hits try the EU classes, ``candidates``,
+    and whether the batch is sorted by length first (Fig 10 step ❸); the
+    order depends only on the hit length, so it is built once per length.
+    """
+
+    sort_batch = True
 
     def __init__(self, pe_classes: Sequence[int]):
         self.pe_classes = tuple(sorted(set(pe_classes)))
         if not self.pe_classes:
             raise ValueError("need at least one PE class")
+        self.counters = CounterSet()
+        #: hit_len -> (optimal class, classes in the order they are tried)
+        self._orders: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
+
+    def candidates(self, best_pe: int, hit_len: int) -> Sequence[int]:
+        raise NotImplementedError
+
+    def allocate(self, batch: Sequence[HitTask],
+                 idle_units: Dict[int, int],
+                 ) -> Tuple[List[Placement], List[HitTask]]:
+        """Fig 10 steps ❷-❻: place a PB batch onto ``idle_units``
+        (``unit_id -> pe_count``). Each hit takes the lowest idle unit id of
+        its first candidate class that has one. Returns ``(placements,
+        unallocated)``; ``unallocated`` keeps batch order for write-back.
+        """
+        free: Dict[int, List[int]] = {}  # pop() yields the lowest id first
+        for unit_id, pe in sorted(idle_units.items(), reverse=True):
+            free.setdefault(pe, []).append(unit_id)
+        ordered = sorted(batch, key=lambda h: h.hit_len) \
+            if self.sort_batch else batch
+        placements: List[Placement] = []
+        for hit in ordered:
+            if not free:
+                break
+            order = self._orders.get(hit.hit_len)
+            if order is None:
+                best = optimal_pe_count(hit.hit_len, self.pe_classes)
+                order = (best, tuple(self.candidates(best, hit.hit_len)))
+                self._orders[hit.hit_len] = order
+            best, candidates = order
+            for pe in candidates:
+                units = free.get(pe)
+                if units:
+                    optimal = pe == best
+                    placements.append(Placement(hit, units.pop(), pe, optimal))
+                    self.counters.add("optimal" if optimal else "suboptimal")
+                    if not units:
+                        del free[pe]
+                    break
+        taken = {id(p.hit) for p in placements}
+        unallocated = [h for h in batch if id(h) not in taken]
+        self.counters.add("allocated", len(placements))
+        self.counters.add("deferred", len(unallocated))
+        return placements, unallocated
+
+
+class HitsAllocator(_GreedyAllocator):
+    """The paper's grouped Hits Allocator (Fig 10): a hit takes its optimal
+    class, else the closest other class of its length group."""
+
+    def __init__(self, pe_classes: Sequence[int]):
+        super().__init__(pe_classes)
         self.groups = build_groups(self.pe_classes)
         self.thresholds = split_thresholds(self.groups)
-        self.counters = CounterSet()
 
     def group_of(self, hit_len: int) -> int:
         """Fig 10 step ❹: which group a hit belongs to by length."""
@@ -189,56 +244,13 @@ class HitsAllocator:
                 return idx
         return len(self.groups) - 1
 
-    def allocate(self, batch: Sequence[HitTask],
-                 idle_units: Dict[int, int],
-                 ) -> Tuple[List[Placement], List[HitTask]]:
-        """Fig 10 steps ❷-❻: place a batch onto idle units.
-
-        Args:
-            batch: hits read from the PB.
-            idle_units: ``unit_id -> pe_count`` of currently idle EUs.
-
-        Returns ``(placements, unallocated)``; ``unallocated`` preserves
-        batch order for write-back.
-        """
-        free: Dict[int, List[int]] = {}
-        for unit_id, pe in idle_units.items():
-            free.setdefault(pe, []).append(unit_id)
-        for units in free.values():
-            units.sort(reverse=True)  # pop() yields the lowest index first
-
-        ordered = sorted(batch, key=lambda h: h.hit_len)  # step ❸
-        placements: List[Placement] = []
-        taken = set()
-        for hit in ordered:
-            placement = self._place(hit, free)
-            if placement is not None:
-                placements.append(placement)
-                taken.add(id(hit))
-        unallocated = [h for h in batch if id(h) not in taken]
-        self.counters.add("allocated", len(placements))
-        self.counters.add("deferred", len(unallocated))
-        return placements, unallocated
-
-    def _place(self, hit: HitTask,
-               free: Dict[int, List[int]]) -> Optional[Placement]:
-        best_pe = optimal_pe_count(hit.hit_len, self.pe_classes)
-        group = self.groups[self.group_of(hit.hit_len)]
-        # Optimal class first, then the group's other classes by closeness.
-        candidates = [best_pe, *sorted(
-            (pe for pe in group.classes if pe != best_pe),
-            key=lambda pe: abs(pe - best_pe))]
-        for pe in candidates:
-            units = free.get(pe)
-            if units:
-                unit_id = units.pop()
-                self.counters.add("optimal" if pe == best_pe else "suboptimal")
-                return Placement(hit=hit, unit_id=unit_id, pe_count=pe,
-                                 optimal=pe == best_pe)
-        return None
+    def candidates(self, best_pe: int, hit_len: int) -> Sequence[int]:
+        group = self.groups[self.group_of(hit_len)]
+        return [best_pe, *sorted((pe for pe in group.classes if pe != best_pe),
+                                 key=lambda pe: abs(pe - best_pe))]
 
 
-class StrictClassAllocator:
+class StrictClassAllocator(_GreedyAllocator):
     """The paper's basic method (1): per-class groups, optimal-only.
 
     "Allocating computing units in groups with the same number of PEs
@@ -252,38 +264,11 @@ class StrictClassAllocator:
     Hits Allocator fixes.
     """
 
-    def __init__(self, pe_classes: Sequence[int]):
-        self.pe_classes = tuple(sorted(set(pe_classes)))
-        if not self.pe_classes:
-            raise ValueError("need at least one PE class")
-        self.counters = CounterSet()
-
-    def allocate(self, batch: Sequence[HitTask],
-                 idle_units: Dict[int, int],
-                 ) -> Tuple[List[Placement], List[HitTask]]:
-        free: Dict[int, List[int]] = {}
-        for unit_id, pe in idle_units.items():
-            free.setdefault(pe, []).append(unit_id)
-        for units in free.values():
-            units.sort(reverse=True)
-        placements: List[Placement] = []
-        taken = set()
-        for hit in sorted(batch, key=lambda h: h.hit_len):
-            best_pe = optimal_pe_count(hit.hit_len, self.pe_classes)
-            units = free.get(best_pe)
-            if units:
-                unit_id = units.pop()
-                self.counters.add("optimal")
-                placements.append(Placement(hit=hit, unit_id=unit_id,
-                                            pe_count=best_pe, optimal=True))
-                taken.add(id(hit))
-        unallocated = [h for h in batch if id(h) not in taken]
-        self.counters.add("allocated", len(placements))
-        self.counters.add("deferred", len(unallocated))
-        return placements, unallocated
+    def candidates(self, best_pe: int, hit_len: int) -> Sequence[int]:
+        return (best_pe,)
 
 
-class PooledAllocator:
+class PooledAllocator(_GreedyAllocator):
     """The paper's basic method (2): one shared pool, optimal-first.
 
     "Allocating all computing units in one group ensures that all idle
@@ -296,65 +281,20 @@ class PooledAllocator:
     the grouped Hits Allocator improves on.
     """
 
-    def __init__(self, pe_classes: Sequence[int]):
-        self.pe_classes = tuple(sorted(set(pe_classes)))
-        if not self.pe_classes:
-            raise ValueError("need at least one PE class")
-        self.counters = CounterSet()
+    sort_batch = False
 
-    def allocate(self, batch: Sequence[HitTask],
-                 idle_units: Dict[int, int],
-                 ) -> Tuple[List[Placement], List[HitTask]]:
-        free: Dict[int, List[int]] = {}
-        for unit_id, pe in idle_units.items():
-            free.setdefault(pe, []).append(unit_id)
-        for units in free.values():
-            units.sort(reverse=True)
-        placements: List[Placement] = []
-        taken = set()
-        for hit in batch:
-            best_pe = optimal_pe_count(hit.hit_len, self.pe_classes)
-            candidates = [best_pe, *(pe for pe in self.pe_classes
-                                     if pe != best_pe)]
-            for pe in candidates:
-                units = free.get(pe)
-                if units:
-                    unit_id = units.pop()
-                    optimal = pe == best_pe
-                    self.counters.add("optimal" if optimal else "suboptimal")
-                    placements.append(Placement(hit=hit, unit_id=unit_id,
-                                                pe_count=pe, optimal=optimal))
-                    taken.add(id(hit))
-                    break
-        unallocated = [h for h in batch if id(h) not in taken]
-        self.counters.add("allocated", len(placements))
-        self.counters.add("deferred", len(unallocated))
-        return placements, unallocated
+    def candidates(self, best_pe: int, hit_len: int) -> Sequence[int]:
+        return [best_pe, *(pe for pe in self.pe_classes if pe != best_pe)]
 
 
-class FIFOAllocator:
-    """Baseline dispatch: hits in order onto any idle unit (no matching)."""
+class FIFOAllocator(_GreedyAllocator):
+    """Baseline dispatch: hits in order onto any idle unit (no matching).
 
-    def __init__(self, pe_classes: Sequence[int]):
-        self.pe_classes = tuple(sorted(set(pe_classes)))
-        self.counters = CounterSet()
+    Classes are tried ascending, so a hit takes the lowest idle unit id:
+    units are numbered in ``eu_config`` order, which is ascending.
+    """
 
-    def allocate(self, batch: Sequence[HitTask],
-                 idle_units: Dict[int, int],
-                 ) -> Tuple[List[Placement], List[HitTask]]:
-        order = sorted(idle_units.items())
-        placements: List[Placement] = []
-        cursor = 0
-        for hit in batch:
-            if cursor >= len(order):
-                break
-            unit_id, pe = order[cursor]
-            cursor += 1
-            optimal = pe == optimal_pe_count(hit.hit_len, self.pe_classes)
-            self.counters.add("optimal" if optimal else "suboptimal")
-            placements.append(Placement(hit=hit, unit_id=unit_id,
-                                        pe_count=pe, optimal=optimal))
-        unallocated = list(batch[len(placements):])
-        self.counters.add("allocated", len(placements))
-        self.counters.add("deferred", len(unallocated))
-        return placements, unallocated
+    sort_batch = False
+
+    def candidates(self, best_pe: int, hit_len: int) -> Sequence[int]:
+        return self.pe_classes

@@ -36,12 +36,11 @@ class AllocateTrigger:
         self.num_units = num_units
         self.threshold = max(1, math.ceil(idle_fraction * num_units))
 
-    def should_request(self, idle_count: int) -> bool:
-        """True when a scheduling request should go to the Coordinator."""
-        if not 0 <= idle_count <= self.num_units:
-            raise ValueError(
-                f"idle_count {idle_count} outside [0, {self.num_units}]")
-        return idle_count >= self.threshold
+    def should_request(self, idle: int) -> bool:
+        """True when ``idle`` idle EUs warrant a request to the Coordinator."""
+        if not 0 <= idle <= self.num_units:
+            raise ValueError(f"{idle} idle EUs outside [0, {self.num_units}]")
+        return idle >= self.threshold
 
 
 class HybridUnitsManager:
@@ -69,9 +68,6 @@ class HybridUnitsManager:
         """``unit_id -> pe_count`` of every idle unit (the Coordinator's
         view through the Table III control interface)."""
         return {uid: u.pe_count for uid, u in self._units.items() if u.idle}
-
-    def idle_count(self) -> int:
-        return sum(1 for u in self._units.values() if u.idle)
 
     def dispatch(self, placements: Sequence[Placement],
                  now: int) -> List[int]:

@@ -15,47 +15,9 @@ uniform pool vs the hybrid pool with greedy shortest-latency placement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
-from repro.extension.systolic import matrix_fill_latency, optimal_pe_count
-
-
-@dataclass(frozen=True)
-class IntervalPartition:
-    """Hit-length intervals aligned to EU classes.
-
-    ``bounds[i]`` is the inclusive upper edge of interval ``i``; the last
-    interval also absorbs longer hits (handled iteratively, GACT-style).
-    """
-
-    bounds: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.bounds:
-            raise ValueError("need at least one interval bound")
-        if any(b <= 0 for b in self.bounds) or \
-                any(a >= b for a, b in zip(self.bounds, self.bounds[1:])):
-            raise ValueError(
-                f"bounds must be positive and strictly increasing: {self.bounds}")
-
-    def interval_of(self, hit_len: int) -> int:
-        """Index of the interval containing ``hit_len``."""
-        if hit_len <= 0:
-            raise ValueError(f"hit_len must be positive, got {hit_len}")
-        for idx, bound in enumerate(self.bounds):
-            if hit_len <= bound:
-                return idx
-        return len(self.bounds) - 1
-
-    def interval_mass(self, hit_lengths: Sequence[int]) -> List[float]:
-        """Fraction of hits per interval (the s_i of Equation 4)."""
-        counts = [0] * len(self.bounds)
-        for length in hit_lengths:
-            counts[self.interval_of(length)] += 1
-        total = sum(counts)
-        if total == 0:
-            raise ValueError("cannot derive a distribution from zero hits")
-        return [c / total for c in counts]
+from repro.extension.systolic import matrix_fill_latency
 
 
 def solve_unit_mix(interval_mass: Sequence[float], pe_classes: Sequence[int],
@@ -186,22 +148,3 @@ def execute_on_pool(hit_lengths: Sequence[int], unit_pes: Sequence[int],
     return PoolExecution(makespan=max(free_at),
                          per_hit_latency=per_hit_latency,
                          per_hit_unit=per_hit_unit)
-
-
-def expand_pool(unit_mix: Dict[int, int]) -> List[int]:
-    """Flatten a class->count mix into a per-unit PE list, ascending."""
-    pool: List[int] = []
-    for pe in sorted(unit_mix):
-        count = unit_mix[pe]
-        if count < 0:
-            raise ValueError(f"negative unit count for class {pe}")
-        pool.extend([pe] * count)
-    if not pool:
-        raise ValueError("unit mix expands to an empty pool")
-    return pool
-
-
-def assignment_is_optimal(hit_len: int, assigned_pe: int,
-                          pe_classes: Sequence[int]) -> bool:
-    """Fig 12(e/f) metric: was the hit placed on its latency-optimal class?"""
-    return assigned_pe == optimal_pe_count(hit_len, tuple(pe_classes))

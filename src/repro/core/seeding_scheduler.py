@@ -44,7 +44,6 @@ class SeedingScheduler:
             raise ValueError("prefetch_ahead must be positive")
         self.num_units = num_units
         self.total_reads = total_reads
-        self.use_ocra = use_ocra
         self.spm = spm or Scratchpad(capacity=max(prefetch_ahead, 1))
         self.prefetch_ahead = prefetch_ahead
         self.prefetch_enabled = prefetch
@@ -65,10 +64,7 @@ class SeedingScheduler:
         With OCRA every idle unit is served; with Read-in-Batch a new batch
         is issued only when all units are idle.
         """
-        if self.use_ocra:
-            result = self._allocator.allocate(status)
-        else:
-            result = self._allocator.allocate_batch(status)
+        result = self._allocator.allocate(status)
         loads = tuple(
             ScheduledLoad(unit_id=unit, read_idx=read_idx,
                           load_latency=self.spm.fetch(read_idx))

@@ -103,18 +103,6 @@ class Workload:
     def hit_lengths(self) -> List[int]:
         return [h.hit_len for t in self.tasks for h in t.hits]
 
-    def interval_histogram(self,
-                           bounds: Sequence[int] = (16, 32, 64, 128),
-                           ) -> List[int]:
-        """Hit counts per EU interval (…≤16, 17–32, 33–64, >64…)."""
-        counts = [0] * len(bounds)
-        for length in self.hit_lengths():
-            for idx, hi in enumerate(bounds):
-                if length <= hi or idx == len(bounds) - 1:
-                    counts[idx] += 1
-                    break
-        return counts
-
     # ------------------------------------------------------------------ #
     # Serialization (reproducible workload exchange)
     # ------------------------------------------------------------------ #

@@ -38,10 +38,7 @@ def simulate_strategy(durations: Sequence[int], num_units: int,
     now = 0
     events: List[int] = []
     while True:
-        if use_one_cycle:
-            result = allocator.allocate(status)
-        else:
-            result = allocator.allocate_batch(status)
+        result = allocator.allocate(status)
         for unit, read_idx in result.assignments.items():
             duration = durations[read_idx]
             busy_until[unit] = now + 1 + duration  # 1-cycle load

@@ -126,11 +126,13 @@ class TestEdgeCases:
         assert report.cycles <= 50
         assert report.hits_processed < workload.total_hits
 
-    def test_uniform_flag_forces_uniform_pool(self):
-        config = NvWaConfig(use_hybrid_units=False)
+    def test_uniform_variant_runs_one_class(self):
+        config = NvWaConfig().uniform_variant()
         wl = synthetic_workload(get_dataset("H.s."), 20, seed=4)
         report = NvWaAccelerator(config).run(wl)
-        assert len(report.config.eu_classes) == 1
+        assert report.config.eu_config == ((64, 45),)
+        assert report.assignment_quality.total
+        assert report.hits_processed == wl.total_hits
 
     def test_memory_energy_accounted(self, reports):
         for report in reports.values():

@@ -102,20 +102,20 @@ class TestMicroarchitecture:
 class TestReadInBatch:
     def test_batch_only_when_all_idle(self):
         alloc = ReadInBatchAllocator(4, total_reads=10)
-        assert alloc.allocate_batch([0, 1, 0, 0]).assignments == {}
-        result = alloc.allocate_batch([0, 0, 0, 0])
+        assert alloc.allocate([0, 1, 0, 0]).assignments == {}
+        result = alloc.allocate([0, 0, 0, 0])
         assert result.assignments == {0: 0, 1: 1, 2: 2, 3: 3}
 
     def test_sequential_batches(self):
         alloc = ReadInBatchAllocator(2, total_reads=5)
-        assert alloc.allocate_batch([0, 0]).assignments == {0: 0, 1: 1}
-        assert alloc.allocate_batch([0, 0]).assignments == {0: 2, 1: 3}
-        assert alloc.allocate_batch([0, 0]).assignments == {0: 4}
+        assert alloc.allocate([0, 0]).assignments == {0: 0, 1: 1}
+        assert alloc.allocate([0, 0]).assignments == {0: 2, 1: 3}
+        assert alloc.allocate([0, 0]).assignments == {0: 4}
         assert alloc.exhausted
 
     def test_wrong_status_length_raises(self):
         with pytest.raises(ValueError):
-            ReadInBatchAllocator(2, 4).allocate_batch([0])
+            ReadInBatchAllocator(2, 4).allocate([0])
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):

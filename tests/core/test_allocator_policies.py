@@ -1,9 +1,13 @@
 """Unit tests for the three Sec. IV-D allocation methods + ablation flags."""
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import NvWaConfig
 from repro.core.coordinator import (
     HitsAllocator,
     PooledAllocator,
@@ -104,3 +108,64 @@ class TestAblationFlags:
         from repro.core.config import NvWaConfig
         with pytest.raises(ValueError):
             NvWaConfig(allocator_policy="greedy")
+
+
+class TestPolicyDigests:
+    """Every dispatch policy's modelled results, pinned.
+
+    SHA-256 of the same fingerprint ``perfbench/sim.py`` pins (cycles,
+    hits, sorted counters, utilisations, PE efficiency, assignment
+    quality) on a small hybrid pool, where hits contend across classes so
+    each policy's candidate order shows, plus FIFO on the uniform pool.
+    """
+
+    SMALL = NvWaConfig(num_seeding_units=8,
+                       eu_config=((16, 3), (32, 2), (64, 2), (128, 1)),
+                       hits_buffer_depth=32, allocation_batch_size=8)
+
+    PINNED = {
+        "grouped": "59d1d0846eee387bbe60ebcd22efb06a"
+                   "00d15842d168d573225e2eb916169c2f",
+        "pooled": "2ba9a0eeb4e2f83f91f444e467e478ea"
+                  "038b61b3601300db6f8c3328f9269c26",
+        "strict": "88aebb5dfed0add11c6ff00e92487f2d"
+                  "38d5969f5288bff8782f598fcf0ce984",
+        "fifo": "7272305c5513f502faa9720b772fac30"
+                "f4c61a5279434ea400b1b50bb2d6001d",
+        "fifo_uniform": "4e3bdf4f38ac40f9f860f490560c66e2"
+                        "e418375fc436c88aecf219e59db223b7",
+    }
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        from repro.core import NvWaAccelerator, synthetic_workload
+        from repro.genome.datasets import get_dataset
+        workload = synthetic_workload(get_dataset("H.s."), 120, seed=9)
+        points = {policy: replace(self.SMALL, allocator_policy=policy)
+                  for policy in ("grouped", "pooled", "strict", "fifo")}
+        points["fifo_uniform"] = replace(self.SMALL.uniform_variant(),
+                                         allocator_policy="fifo")
+        return workload, {name: NvWaAccelerator(config).run(workload)
+                          for name, config in points.items()}
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_digest(self, reports, name):
+        report = reports[1][name]
+        fingerprint = (report.cycles, report.hits_processed,
+                       tuple(sorted(report.counters.as_dict().items())),
+                       report.su_utilization, report.eu_utilization,
+                       report.eu_pe_efficiency,
+                       report.assignment_quality.overall_fraction())
+        digest = hashlib.sha256(repr(fingerprint).encode()).hexdigest()
+        assert digest == self.PINNED[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_conservation(self, reports, name):
+        workload, report = reports[0], reports[1][name]
+        counters = report.counters
+        allocated = counters.get("alloc_allocated")
+        assert allocated == report.hits_processed == workload.total_hits
+        assert counters.get("alloc_optimal") \
+            + counters.get("alloc_suboptimal") == allocated
+        if name == "strict":
+            assert counters.get("alloc_suboptimal") == 0

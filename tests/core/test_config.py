@@ -57,6 +57,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             NvWaConfig(allocation_batch_size=0)
 
+    def test_rejects_unsorted_eu_classes(self):
+        """Units are numbered in eu_config order, and FIFO dispatch relies
+        on the lowest unit id being the smallest idle class."""
+        with pytest.raises(ValueError, match="ascending"):
+            NvWaConfig(eu_config=((32, 2), (16, 4)))
+        with pytest.raises(ValueError, match="ascending"):
+            NvWaConfig(eu_config=((16, 2), (16, 4)))
+
     def test_rejects_unknown_policies(self):
         with pytest.raises(ValueError):
             NvWaConfig(allocator_policy="best-effort")
@@ -70,7 +78,7 @@ class TestVariants:
         assert len(uniform.eu_classes) == 1
         assert uniform.total_pes <= PAPER_CONFIG.total_pes
         assert uniform.total_pes >= PAPER_CONFIG.total_pes - 64
-        assert not uniform.use_hybrid_units
+        assert uniform.eu_config == ((64, 45),)
 
     def test_uniform_variant_uses_median_class(self):
         uniform = PAPER_CONFIG.uniform_variant()

@@ -1,46 +1,15 @@
-"""Hybrid Units Strategy tests: Equation 5, intervals, Fig 9(d)."""
+"""Hybrid Units Strategy tests: Equation 5 and Fig 9(d)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hybrid_units import (
-    IntervalPartition,
-    assignment_is_optimal,
     execute_on_pool,
-    expand_pool,
     paper_unit_mix,
     solve_unit_mix,
 )
 from repro.genome.datasets import NA12878_INTERVAL_MASS
-
-
-class TestIntervalPartition:
-    def test_interval_of(self):
-        part = IntervalPartition((16, 32, 64, 128))
-        assert part.interval_of(1) == 0
-        assert part.interval_of(16) == 0
-        assert part.interval_of(17) == 1
-        assert part.interval_of(64) == 2
-        assert part.interval_of(128) == 3
-        assert part.interval_of(500) == 3  # long hits absorbed by last
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            IntervalPartition(())
-        with pytest.raises(ValueError):
-            IntervalPartition((16, 16))
-        with pytest.raises(ValueError):
-            IntervalPartition((16, 32)).interval_of(0)
-
-    def test_interval_mass(self):
-        part = IntervalPartition((16, 32))
-        mass = part.interval_mass([1, 8, 16, 20, 30])
-        assert mass == [pytest.approx(0.6), pytest.approx(0.4)]
-
-    def test_interval_mass_empty_raises(self):
-        with pytest.raises(ValueError):
-            IntervalPartition((16,)).interval_mass([])
 
 
 class TestEquation5:
@@ -142,22 +111,3 @@ class TestFig9Toy:
     def test_unknown_policy_raises(self):
         with pytest.raises(ValueError):
             execute_on_pool(self.HITS, self.HYBRID, policy="magic")
-
-
-class TestHelpers:
-    def test_expand_pool(self):
-        assert expand_pool({32: 2, 16: 1}) == [16, 32, 32]
-
-    def test_expand_pool_empty_raises(self):
-        with pytest.raises(ValueError):
-            expand_pool({})
-
-    def test_expand_pool_negative_raises(self):
-        with pytest.raises(ValueError):
-            expand_pool({16: -1})
-
-    def test_assignment_is_optimal(self):
-        classes = (16, 32, 64, 128)
-        assert assignment_is_optimal(10, 16, classes)
-        assert not assignment_is_optimal(10, 128, classes)
-        assert assignment_is_optimal(100, 128, classes)

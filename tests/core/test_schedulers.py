@@ -91,7 +91,6 @@ class TestHybridUnitsManager:
     def test_idle_census(self):
         manager = HybridUnitsManager(self._units())
         assert manager.idle_units() == {0: 16, 1: 16, 2: 64}
-        assert manager.idle_count() == 3
 
     def test_dispatch_starts_units(self):
         manager = HybridUnitsManager(self._units())
@@ -99,7 +98,7 @@ class TestHybridUnitsManager:
         placement = Placement(hit=task, unit_id=0, pe_count=16, optimal=True)
         finish_times = manager.dispatch([placement], now=100)
         assert finish_times[0] > 100
-        assert manager.idle_count() == 2
+        assert manager.idle_units() == {1: 16, 2: 64}
 
     def test_dispatch_wrong_pe_count_raises(self):
         manager = HybridUnitsManager(self._units())

@@ -68,14 +68,6 @@ class TestSyntheticWorkload:
         mean = wl.total_hits / len(wl)
         assert abs(mean - profile.mean_hits_per_read) < 0.8
 
-    def test_interval_histogram_matches_mass(self):
-        profile = get_dataset("H.s.")
-        wl = synthetic_workload(profile, 2000, seed=5)
-        histogram = wl.interval_histogram()
-        total = sum(histogram)
-        for count, mass in zip(histogram, profile.interval_mass):
-            assert abs(count / total - mass) < 0.03
-
     def test_access_diversity(self):
         """Fig 2's point: per-read work varies widely."""
         wl = synthetic_workload(get_dataset("H.s."), 500, seed=6)
