@@ -15,6 +15,7 @@ from repro.core import (
     OneCycleReadAllocator,
     baseline,
     execute_on_pool,
+    idle_heaps,
     paper_unit_mix,
     solve_unit_mix,
     synthetic_workload,
@@ -56,7 +57,7 @@ def coordinator() -> None:
     allocator = HitsAllocator((16, 32, 64, 128))
     batch = [HitTask(0, i, length, length + 8)
              for i, length in enumerate((7, 29, 40, 103))]
-    idle = {0: 16, 1: 32, 2: 64, 3: 128}
+    idle = idle_heaps({0: 16, 1: 32, 2: 64, 3: 128})
     placements, deferred = allocator.allocate(batch, idle)
     for p in placements:
         tag = "optimal" if p.optimal else "sub-optimal"

@@ -34,10 +34,11 @@ from repro.core.coordinator import (
     PooledAllocator,
     StrictClassAllocator,
     build_groups,
+    idle_heaps,
     split_thresholds,
 )
 from repro.core.seeding_scheduler import ScheduledLoad, SeedingScheduler
-from repro.core.extension_scheduler import AllocateTrigger, HybridUnitsManager
+from repro.core.extension_scheduler import AllocateTrigger
 from repro.core.workload import (
     HitTask,
     ReadTask,
@@ -80,9 +81,9 @@ __all__ = [
     "PoolExecution", "execute_on_pool", "paper_unit_mix", "solve_unit_mix",
     "EUGroup", "FIFOAllocator", "HitsAllocator", "HitsBuffer", "Placement",
     "PooledAllocator", "StrictClassAllocator",
-    "build_groups", "split_thresholds",
+    "build_groups", "idle_heaps", "split_thresholds",
     "ScheduledLoad", "SeedingScheduler",
-    "AllocateTrigger", "HybridUnitsManager",
+    "AllocateTrigger",
     "HitTask", "ReadTask", "Workload", "hit_extension_span",
     "synthetic_workload", "workload_from_long_reads",
     "workload_from_pipeline",

@@ -17,6 +17,7 @@ the SUs+EUs baseline and the Fig 11 ablations from the same model:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import NvWaConfig
@@ -26,8 +27,9 @@ from repro.core.coordinator import (
     HitsBuffer,
     PooledAllocator,
     StrictClassAllocator,
+    idle_heaps,
 )
-from repro.core.extension_scheduler import AllocateTrigger, HybridUnitsManager
+from repro.core.extension_scheduler import AllocateTrigger
 from repro.core.seeding_scheduler import SeedingScheduler
 from repro.core.workload import HitTask, Workload
 from repro.extension.systolic import optimal_pe_count
@@ -150,15 +152,16 @@ class _Simulation:
                                 sram_miss_rate=config.su_sram_miss_rate,
                                 memory_parallelism=config.su_memory_parallelism)
                     for i in range(config.num_seeding_units)]
-        units: List[ExtensionUnit] = []
-        uid = 0
-        for pe, count in config.eu_config:
-            for _ in range(count):
-                units.append(ExtensionUnit(unit_id=uid, pe_count=pe,
-                                           datapath=config.eu_datapath,
-                                           load_overhead=config.eu_load_overhead))
-                uid += 1
-        self.eus = HybridUnitsManager(units)
+        # EUs are numbered in eu_config order; self.eus is indexed by id.
+        pes = [pe for pe, count in config.eu_config for _ in range(count)]
+        self.eus = [ExtensionUnit(unit_id=uid, pe_count=pe,
+                                  datapath=config.eu_datapath,
+                                  load_overhead=config.eu_load_overhead)
+                    for uid, pe in enumerate(pes)]
+        #: The one record of which EUs are idle: PE class -> heap of ids.
+        self.idle_eus = idle_heaps(dict(enumerate(pes)))
+        #: SUs between ``start`` and ``on_su_finish``.
+        self.busy_sus = 0
 
         self.scheduler = SeedingScheduler(
             num_units=config.num_seeding_units,
@@ -215,7 +218,8 @@ class _Simulation:
             task = self.workload.tasks[load.read_idx]
             finish = su.start(task, self.engine.now,
                               load_latency=load.load_latency)
-            self.su_trace.begin(load.unit_id, self.engine.now)
+            self.busy_sus += 1
+            self.su_trace.add(self.engine.now, finish)
             self.counters.add("reads_issued")
             self._trace(f"SU{load.unit_id}", "read_start",
                         read=load.read_idx, until=finish)
@@ -224,9 +228,8 @@ class _Simulation:
                                  self.on_su_finish(u, t))
 
     def on_su_finish(self, unit_id: int, task) -> None:
-        su = self.sus[unit_id]
-        su.finish()
-        self.su_trace.end(unit_id, self.engine.now)
+        self.sus[unit_id].finish()
+        self.busy_sus -= 1
         self._trace(f"SU{unit_id}", "read_finish", read=task.read_idx,
                     hits=len(task.hits))
         hits = list(task.hits)
@@ -240,19 +243,19 @@ class _Simulation:
         self.pump_seeding()
         self.pump_allocation()
 
+    def producers_done(self) -> bool:
+        """Every read is issued and no SU is still seeding one."""
+        return self.scheduler.exhausted and not self.busy_sus
+
     def seeding_done(self) -> bool:
-        return (self.scheduler.exhausted
-                and all(su.idle for su in self.sus)
-                and not self.suspended)
+        return self.producers_done() and not self.suspended
 
     # ------------------------------------------------------------------ #
     # Coordinator side
     # ------------------------------------------------------------------ #
 
     def try_switch(self) -> None:
-        producers_done = (self.scheduler.exhausted
-                          and all(su.idle for su in self.sus))
-        if self.buffer.should_switch(producers_done=producers_done):
+        if self.buffer.should_switch(producers_done=self.producers_done()):
             hits = self.buffer.switch()
             self._trace("Coordinator", "buffer_switch", hits=hits)
             self.switch_ready_at = (self.engine.now
@@ -280,16 +283,17 @@ class _Simulation:
                 if self.buffer.pb_drained or \
                         self.engine.now < self.switch_ready_at:
                     return
-            idle = self.eus.idle_units()
+            idle = sum(map(len, self.idle_eus.values()))
             if not idle:
                 return
-            if not self.trigger.should_request(len(idle)) \
+            if not self.trigger.should_request(idle) \
                     and not self.seeding_done():
                 return
             batch = self.buffer.next_batch(self.config.allocation_batch_size)
             if not batch:
                 return
-            placements, unallocated = self.allocator.allocate(batch, idle)
+            placements, unallocated = self.allocator.allocate(
+                batch, self.idle_eus)
             if not placements:
                 self.counters.add("allocation_stalls")
                 return
@@ -305,25 +309,26 @@ class _Simulation:
                 placed_ids = {id(p.hit) for p in placements}
                 remaining = [h for h in batch if id(h) not in placed_ids]
                 self.buffer.writeback([], remaining, consumed=len(batch))
+            # The Hybrid Units Manager: start each placed hit on its EU.
+            now = self.engine.now
             for placement in placements:
                 best = optimal_pe_count(placement.hit.hit_len,
                                         self.config.reference_classes)
                 self.quality.record(best, placement.pe_count == best)
-                self.eu_trace.begin(placement.unit_id, self.engine.now)
                 self._trace(f"EU{placement.unit_id}", "hit_start",
                             hit_len=placement.hit.hit_len,
                             pe=placement.pe_count,
                             optimal=placement.optimal)
-            finish_times = self.eus.dispatch(placements, self.engine.now)
-            for placement, finish in zip(placements, finish_times):
-                self.engine.schedule(finish - self.engine.now,
+                finish = self.eus[placement.unit_id].start(placement.hit, now)
+                self.eu_trace.add(now, finish)
+                self.engine.schedule(finish - now,
                                      lambda u=placement.unit_id:
                                      self.on_eu_finish(u))
 
     def on_eu_finish(self, unit_id: int) -> None:
-        unit = self.eus.unit(unit_id)
+        unit = self.eus[unit_id]
         hit = unit.finish()
-        self.eu_trace.end(unit_id, self.engine.now)
+        heappush(self.idle_eus[unit.pe_count], unit_id)
         self.hits_processed += 1
         self._trace(f"EU{unit_id}", "hit_finish")
         if self.config.functional_execution and hit.has_sequences:
@@ -342,15 +347,12 @@ class _Simulation:
         self.engine.schedule(0, self.pump_seeding)
         self.engine.run(max_cycles=max_cycles)
         cycles = self.engine.now
-        self.su_trace.close_all(cycles)
-        self.eu_trace.close_all(cycles)
         for name, value in self.buffer.counters.as_dict().items():
             self.counters.add(f"buffer_{name}", value)
         for name, value in self.allocator.counters.as_dict().items():
             self.counters.add(f"alloc_{name}", value)
-        total_capacity = sum(u.busy_cycles * u.pe_count
-                             for u in self.eus.units)
-        total_useful = sum(u.useful_cells for u in self.eus.units)
+        total_capacity = sum(u.busy_cycles * u.pe_count for u in self.eus)
+        total_useful = sum(u.useful_cells for u in self.eus)
         pe_efficiency = (min(1.0, total_useful / total_capacity)
                          if total_capacity else 0.0)
         peak_bytes = cycles * self.config.memory_spec.bandwidth_bytes_per_cycle

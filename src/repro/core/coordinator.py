@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from heapq import heappop
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.workload import HitTask
 from repro.extension.systolic import optimal_pe_count
@@ -169,6 +170,16 @@ class Placement:
     optimal: bool
 
 
+def idle_heaps(units: Mapping[int, int]) -> Dict[int, List[int]]:
+    """``pe_count -> heap of idle unit ids`` for units given as ``unit_id
+    -> pe_count``: the idle-EU record the Hits Allocator places from. An
+    ascending list is already a heap, so the lowest id pops first."""
+    heaps: Dict[int, List[int]] = {}
+    for unit_id, pe in sorted(units.items()):
+        heaps.setdefault(pe, []).append(unit_id)
+    return heaps
+
+
 class _GreedyAllocator:
     """The one greedy placement loop behind every Sec. IV-D policy. A
     policy is only the order its hits try the EU classes, ``candidates``,
@@ -190,16 +201,18 @@ class _GreedyAllocator:
         raise NotImplementedError
 
     def allocate(self, batch: Sequence[HitTask],
-                 idle_units: Dict[int, int],
+                 idle: Dict[int, List[int]],
                  ) -> Tuple[List[Placement], List[HitTask]]:
-        """Fig 10 steps ❷-❻: place a PB batch onto ``idle_units``
-        (``unit_id -> pe_count``). Each hit takes the lowest idle unit id of
-        its first candidate class that has one. Returns ``(placements,
-        unallocated)``; ``unallocated`` keeps batch order for write-back.
+        """Fig 10 steps ❷-❻: place a PB batch onto the idle EUs.
+
+        ``idle`` maps each PE class to a heap of its idle unit ids
+        (:func:`idle_heaps`). Each hit pops the lowest idle unit id of its
+        first candidate class that has one, so ``idle`` loses exactly the
+        units placed; the caller pushes a unit back when it finishes.
+        Returns ``(placements, unallocated)``; ``unallocated`` keeps batch
+        order for write-back.
         """
-        free: Dict[int, List[int]] = {}  # pop() yields the lowest id first
-        for unit_id, pe in sorted(idle_units.items(), reverse=True):
-            free.setdefault(pe, []).append(unit_id)
+        free = sum(map(len, idle.values()))
         ordered = sorted(batch, key=lambda h: h.hit_len) \
             if self.sort_batch else batch
         placements: List[Placement] = []
@@ -213,13 +226,13 @@ class _GreedyAllocator:
                 self._orders[hit.hit_len] = order
             best, candidates = order
             for pe in candidates:
-                units = free.get(pe)
+                units = idle.get(pe)
                 if units:
                     optimal = pe == best
-                    placements.append(Placement(hit, units.pop(), pe, optimal))
+                    placements.append(
+                        Placement(hit, heappop(units), pe, optimal))
                     self.counters.add("optimal" if optimal else "suboptimal")
-                    if not units:
-                        del free[pe]
+                    free -= 1
                     break
         taken = {id(p.hit) for p in placements}
         unallocated = [h for h in batch if id(h) not in taken]

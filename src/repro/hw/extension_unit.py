@@ -1,7 +1,8 @@
 """Extension Unit (EU) cycle model.
 
 The EU datapath is the systolic array of Darwin [60]; its per-hit latency
-is Formula 3 plus the constant traceback walk (footnote 4). The unit
+is Formula 3, the matrix fill (the traceback walk overlaps the next hit's
+fill, footnote 4). The unit
 advertises its ``pe_number`` through the Table III control interface —
 that is the only thing the Coordinator needs to know about it, which is
 what makes the scheduling design loosely coupled.
@@ -15,11 +16,7 @@ from typing import Optional
 from repro.core.interface import UnitState
 from repro.core.workload import HitTask
 from repro.extension.bitap import genasm_latency
-from repro.extension.systolic import (
-    SystolicArray,
-    gact_tiled_latency,
-    traceback_latency,
-)
+from repro.extension.systolic import gact_tiled_latency, matrix_fill_latency
 
 #: Reference windows longer than this use Darwin's GACT tiling (Sec. V-F:
 #: long reads run "by using the iterative scheme of GACT").
@@ -49,15 +46,8 @@ class ExtensionUnit:
     pe_count: int
     datapath: str = "systolic"
     load_overhead: int = 2
-    #: Darwin's traceback runs in a dedicated logic unit overlapped with
-    #: the next hit's matrix fill (paper footnote 4 excludes it from the
-    #: latency analysis for the same reason), so by default it does not
-    #: occupy the systolic array.
-    include_traceback: bool = False
     state: UnitState = UnitState.IDLE
     current_hit: Optional[HitTask] = None
-    busy_until: int = 0
-    hits_processed: int = field(default=0)
     busy_cycles: int = field(default=0)
     #: Σ useful DP cells computed — useful_cells / (busy_cycles · pe_count)
     #: is the PE-level efficiency behind Fig 12(c/d)'s utilization metric.
@@ -69,7 +59,6 @@ class ExtensionUnit:
         if self.datapath not in ("systolic", "genasm"):
             raise ValueError(
                 f"datapath must be systolic or genasm, got {self.datapath!r}")
-        self._array = SystolicArray(self.pe_count)
 
     def duration(self, hit: HitTask) -> int:
         """Cycles to extend one hit on this unit's datapath.
@@ -77,24 +66,23 @@ class ExtensionUnit:
         Systolic: one Formula 3 pass for short-read windows, GACT tiles
         for long ones. GenASM: per-text-character vector updates, with the
         PE budget spent on parallel word lanes.
+
+        Darwin's traceback runs in a dedicated logic unit overlapped with
+        the next hit's matrix fill (paper footnote 4 excludes it from the
+        latency analysis for the same reason), so it never occupies the
+        datapath and no datapath charges it here.
         """
         if self.datapath == "genasm":
             lanes = max(1, self.pe_count // GENASM_PES_PER_LANE)
-            fill = genasm_latency(hit.query_len, hit.ref_len,
-                                  word_bits=GENASM_WORD_BITS, unroll=lanes)
-            extra = (traceback_latency(hit.ref_len, hit.query_len)
-                     if self.include_traceback else 0)
-            return self.load_overhead + fill + extra
+            return self.load_overhead + genasm_latency(
+                hit.query_len, hit.ref_len,
+                word_bits=GENASM_WORD_BITS, unroll=lanes)
         if hit.ref_len > GACT_TILE_SIZE:
-            fill = gact_tiled_latency(hit.ref_len, hit.query_len,
-                                      self.pe_count,
-                                      tile_size=GACT_TILE_SIZE)
-            extra = (traceback_latency(hit.ref_len, hit.query_len)
-                     if self.include_traceback else 0)
-            return self.load_overhead + fill + extra
-        return self.load_overhead + self._array.latency(
-            hit.ref_len, hit.query_len,
-            include_traceback=self.include_traceback)
+            return self.load_overhead + gact_tiled_latency(
+                hit.ref_len, hit.query_len, self.pe_count,
+                tile_size=GACT_TILE_SIZE)
+        return self.load_overhead + matrix_fill_latency(
+            hit.ref_len, hit.query_len, self.pe_count)
 
     def start(self, hit: HitTask, now: int) -> int:
         """Begin extension; returns the completion cycle."""
@@ -103,16 +91,9 @@ class ExtensionUnit:
         self.state = UnitState.BUSY
         self.current_hit = hit
         duration = self.duration(hit)
-        self.busy_until = now + duration
         self.busy_cycles += duration
         self.useful_cells += hit.query_len * hit.ref_len
-        return self.busy_until
-
-    def pe_efficiency(self) -> float:
-        """Useful cells per PE-cycle across everything run so far."""
-        if self.busy_cycles == 0:
-            return 0.0
-        return min(1.0, self.useful_cells / (self.busy_cycles * self.pe_count))
+        return now + duration
 
     def finish(self) -> HitTask:
         """Complete the current hit; returns it for result bookkeeping."""
@@ -121,7 +102,6 @@ class ExtensionUnit:
         hit = self.current_hit
         self.state = UnitState.IDLE
         self.current_hit = None
-        self.hits_processed += 1
         return hit
 
     def stop(self) -> None:

@@ -12,8 +12,7 @@ functional seeding layer — exactly the input sensitivity of footnote 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.core.interface import UnitState
 from repro.core.workload import ReadTask
@@ -44,9 +43,6 @@ class SeedingUnit:
     sram_miss_rate: float = 0.02
     memory_parallelism: int = 4
     state: UnitState = UnitState.IDLE
-    current_read: Optional[int] = None
-    busy_until: int = 0
-    reads_processed: int = field(default=0)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.sram_miss_rate <= 1.0:
@@ -72,17 +68,14 @@ class SeedingUnit:
         if self.state is UnitState.BUSY:
             raise RuntimeError(f"SU {self.unit_id} already busy")
         self.state = UnitState.BUSY
-        self.current_read = task.read_idx
-        self.busy_until = now + load_latency + self.duration(task)
-        return self.busy_until
+        return now + load_latency + self.duration(task)
 
     def finish(self) -> None:
-        """Mark the read done (driven by the engine at ``busy_until``)."""
+        """Mark the read done (driven by the engine at the cycle ``start``
+        returned)."""
         if self.state is not UnitState.BUSY:
             raise RuntimeError(f"SU {self.unit_id} was not busy")
         self.state = UnitState.IDLE
-        self.current_read = None
-        self.reads_processed += 1
 
     def stop(self) -> None:
         """Table III control: park the unit."""

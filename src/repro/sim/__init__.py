@@ -11,12 +11,7 @@ from repro.sim.memory_detailed import (
     observed_row_hit_fraction,
 )
 from repro.sim.trace import ExecutionTrace, TraceEvent
-from repro.sim.stats import (
-    BusyInterval,
-    CounterSet,
-    ThroughputResult,
-    UtilizationTrace,
-)
+from repro.sim.stats import CounterSet, ThroughputResult, UtilizationTrace
 
 __all__ = [
     "Engine", "SimulationError",
@@ -25,5 +20,5 @@ __all__ = [
     "Completion", "DetailedMemory", "Request", "observed_parallelism",
     "observed_row_hit_fraction",
     "ExecutionTrace", "TraceEvent",
-    "BusyInterval", "CounterSet", "ThroughputResult", "UtilizationTrace",
+    "CounterSet", "ThroughputResult", "UtilizationTrace",
 ]

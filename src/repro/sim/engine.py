@@ -38,18 +38,6 @@ class Engine:
         heapq.heappush(self._queue,
                        (self.now + delay, next(self._counter), callback))
 
-    def schedule_at(self, time: int, callback: Callable[[], None]) -> None:
-        """Run ``callback`` at absolute cycle ``time`` (>= now)."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time}, current time is {self.now}")
-        heapq.heappush(self._queue, (time, next(self._counter), callback))
-
-    @property
-    def pending(self) -> int:
-        """Number of events waiting in the queue."""
-        return len(self._queue)
-
     @property
     def events_processed(self) -> int:
         return self._events_processed
@@ -74,13 +62,3 @@ class Engine:
                     f"exceeded {max_events} events — model livelock?")
             callback()
         return self.now
-
-    def step(self) -> bool:
-        """Process a single event; returns False when the queue is empty."""
-        if not self._queue:
-            return False
-        time, _, callback = heapq.heappop(self._queue)
-        self.now = time
-        self._events_processed += 1
-        callback()
-        return True

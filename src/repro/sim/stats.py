@@ -1,8 +1,8 @@
 """Utilization traces and counters for the cycle simulator.
 
 Fig 12 plots per-cycle resource utilization of SUs and EUs; this module
-records busy intervals per unit and converts them into average utilization
-and binned time series without per-cycle simulation overhead.
+records each unit's busy intervals and converts them into average
+utilization and binned time series without per-cycle simulation overhead.
 """
 
 from __future__ import annotations
@@ -14,16 +14,6 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 
-@dataclass
-class BusyInterval:
-    start: int
-    end: int
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(f"interval end {self.end} before start {self.start}")
-
-
 class UtilizationTrace:
     """Busy-interval recorder for a pool of identical units."""
 
@@ -33,38 +23,23 @@ class UtilizationTrace:
         self.unit_count = unit_count
         self.name = name
         self._intervals: List[Tuple[int, int]] = []
-        self._open: Dict[int, int] = {}
 
-    def begin(self, unit: int, cycle: int) -> None:
-        """Mark ``unit`` busy from ``cycle``."""
-        if not 0 <= unit < self.unit_count:
-            raise IndexError(f"unit {unit} outside pool of {self.unit_count}")
-        if unit in self._open:
-            raise ValueError(f"unit {unit} already busy")
-        self._open[unit] = cycle
+    def add(self, start: int, end: int) -> None:
+        """Record one unit busy over ``[start, end)``.
 
-    def end(self, unit: int, cycle: int) -> None:
-        """Mark ``unit`` idle from ``cycle``."""
-        if unit not in self._open:
-            raise ValueError(f"unit {unit} was not busy")
-        start = self._open.pop(unit)
-        if cycle < start:
-            raise ValueError(f"end {cycle} before start {start}")
-        if cycle > start:
-            self._intervals.append((start, cycle))
-
-    def close_all(self, cycle: int) -> None:
-        """Close any still-open intervals at simulation end."""
-        for unit in list(self._open):
-            self.end(unit, cycle)
+        A unit's finish cycle is known when it starts, so the simulator
+        records each interval once, at dispatch; an interval may run past
+        the end of a run cut short by ``max_cycles``, and every reader
+        below clips it to the window it is asked about.
+        """
+        if end < start:
+            raise ValueError(f"interval end {end} before start {start}")
+        if end > start:
+            self._intervals.append((start, end))
 
     def intervals(self) -> List[Tuple[int, int]]:
-        """Closed ``(start, end)`` busy intervals, in ``end()``-call order.
-
-        Note the ordering: intervals are appended when a unit goes idle,
-        so with several units in flight the list is *not* sorted by end
-        cycle (the trap the old ``series()`` fell into).
-        """
+        """Recorded ``(start, end)`` busy intervals, in ``add()`` order
+        (by start cycle, not by end cycle)."""
         return list(self._intervals)
 
     @property
@@ -89,9 +64,9 @@ class UtilizationTrace:
             return np.zeros(bins)
         edges = np.linspace(0, total_cycles, bins + 1)
         busy = np.zeros(bins)
-        # _intervals is ordered by end()-call time, not by end cycle, so
-        # an interval past total_cycles says nothing about later entries:
-        # clip every interval to the window instead of stopping early.
+        # Intervals are not ordered by end cycle, so an interval past
+        # total_cycles says nothing about later entries: clip every
+        # interval to the window instead of stopping early.
         for s, e in self._intervals:
             lo = np.searchsorted(edges, s, side="right") - 1
             hi = np.searchsorted(edges, e, side="left")

@@ -2,18 +2,43 @@
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import NvWaAccelerator, baseline
+from repro.core.accelerator import _Simulation
 from repro.core.config import NvWaConfig
-from repro.core.workload import HitTask, ReadTask, Workload
+from repro.core.workload import (
+    HitTask,
+    ReadTask,
+    Workload,
+    synthetic_workload,
+)
+from repro.genome.datasets import get_dataset
 
 #: A small accelerator so property runs stay fast.
 SMALL = NvWaConfig(num_seeding_units=8,
                    eu_config=((16, 3), (32, 2), (64, 2), (128, 1)),
                    hits_buffer_depth=32, allocation_batch_size=8,
                    spm_capacity_reads=64)
+
+#: Pinned (cycles, hits, SU util, EU util, SU series, EU series) of 60 H.s.
+#: reads (seed 5) cut at cycle 1800 while EUs are busy: busy intervals
+#: running past the cut must be clipped to it, not dropped or counted whole.
+CUT = {
+    "nvwa": (1800, 257, 0.14314670138888888, 0.11847619047619047,
+             [0.46739583333333334, 0.3754513888888889,
+              0.19635416666666666, 0.06135416666666667, 0.02875,
+              0.008576388888888889, 0.007291666666666667, 0.0],
+             [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.9478095238095238]),
+    "sus_eus": (1796, 81, 0.1434655136414254, 0.11804008908685969,
+                [0.46742761692650336, 0.37607878619153673,
+                 0.19733087416481068, 0.06182140868596882,
+                 0.028988028953229397, 0.008665089086859689,
+                 0.007412305122494432, 0.0],
+                [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.9443207126948775]),
+}
 
 
 @st.composite
@@ -92,6 +117,51 @@ class TestInvariants:
         trace = report.trace
         assert len(trace.events(kind="read_start")) == len(workload)
         assert len(trace.events(kind="hit_finish")) == workload.total_hits
+
+
+class TestOccupancyRecord:
+    """The simulator's one record of unit occupancy (idle-EU heaps, busy-SU
+    count, busy intervals written at dispatch) balances after every run."""
+
+    @given(workloads())
+    @settings(max_examples=15, deadline=None)
+    def test_conservation_laws(self, workload):
+        for policy in ("grouped", "pooled", "strict", "fifo"):
+            for frag in (True, False):
+                config = replace(baseline.nvwa(SMALL), allocator_policy=policy,
+                                 fragmentation_handling=frag)
+                sim = _Simulation(config, workload)
+                report = sim.run()
+                where = (policy, frag)
+                # Hits in = hits out.
+                assert report.hits_processed == workload.total_hits, where
+                # Every EU is back in its own class heap, exactly once.
+                heaped = sorted(uid for ids in sim.idle_eus.values()
+                                for uid in ids)
+                assert heaped == list(range(len(sim.eus))), where
+                for pe, ids in sim.idle_eus.items():
+                    assert {sim.eus[uid].pe_count for uid in ids} <= {pe}
+                assert sim.busy_sus == 0, where
+                # Per-unit busy time sums to the trace and fits the run.
+                assert sum(u.busy_cycles for u in sim.eus) \
+                    == report.eu_trace.busy_cycles, where
+                assert all(u.busy_cycles <= report.cycles
+                           for u in sim.eus), where
+
+    @pytest.mark.parametrize("name", sorted(CUT))
+    def test_cut_run_utilization_pinned(self, name):
+        config = NvWaConfig()
+        if name == "sus_eus":
+            config = config.baseline_variant()
+        workload = synthetic_workload(get_dataset("H.s."), 60, seed=5)
+        report = NvWaAccelerator(config).run(workload, max_cycles=1800)
+        cycles, hits, su_util, eu_util, su_series, eu_series = CUT[name]
+        assert (report.cycles, report.hits_processed) == (cycles, hits)
+        assert report.hits_processed < workload.total_hits
+        assert report.su_utilization == su_util
+        assert report.eu_utilization == eu_util
+        assert report.su_trace.series(cycles, bins=8).tolist() == su_series
+        assert report.eu_trace.series(cycles, bins=8).tolist() == eu_series
 
 
 class TestScalingShape:

@@ -12,6 +12,7 @@ from repro.core.coordinator import (
     HitsAllocator,
     PooledAllocator,
     StrictClassAllocator,
+    idle_heaps,
 )
 from repro.core.workload import HitTask
 
@@ -25,7 +26,7 @@ class TestStrictClassAllocator:
     def test_optimal_only(self):
         allocator = StrictClassAllocator((16, 32, 64, 128))
         placements, deferred = allocator.allocate(
-            [hit(0, 8), hit(1, 100)], {0: 16, 1: 128})
+            [hit(0, 8), hit(1, 100)], idle_heaps({0: 16, 1: 128}))
         assert all(p.optimal for p in placements)
         assert not deferred
 
@@ -33,18 +34,19 @@ class TestStrictClassAllocator:
         """Method (1)'s weakness: idle units of other classes go unused."""
         allocator = StrictClassAllocator((16, 32, 64, 128))
         placements, deferred = allocator.allocate(
-            [hit(0, 8)], {5: 32, 6: 64, 7: 128})
+            [hit(0, 8)], idle_heaps({5: 32, 6: 64, 7: 128}))
         assert not placements
         assert len(deferred) == 1
 
     def test_shortest_first(self):
         allocator = StrictClassAllocator((16, 32, 64, 128))
-        placements, _ = allocator.allocate([hit(0, 15), hit(1, 2)], {0: 16})
+        placements, _ = allocator.allocate([hit(0, 15), hit(1, 2)],
+                                           idle_heaps({0: 16}))
         assert placements[0].hit.hit_idx == 1
 
     def test_counters(self):
         allocator = StrictClassAllocator((16,))
-        allocator.allocate([hit(0, 5), hit(1, 6)], {0: 16})
+        allocator.allocate([hit(0, 5), hit(1, 6)], idle_heaps({0: 16}))
         assert allocator.counters.get("allocated") == 1
         assert allocator.counters.get("deferred") == 1
         assert allocator.counters.get("optimal") == 1
@@ -67,11 +69,11 @@ class TestPolicyOrdering:
         batch = [hit(i, length) for i, length in enumerate(lengths)]
         classes = (16, 32, 64, 128)
         strict_n = len(StrictClassAllocator(classes).allocate(
-            batch, dict(idle))[0])
+            batch, idle_heaps(idle))[0])
         grouped_n = len(HitsAllocator(classes).allocate(
-            batch, dict(idle))[0])
+            batch, idle_heaps(idle))[0])
         pooled_n = len(PooledAllocator(classes).allocate(
-            batch, dict(idle))[0])
+            batch, idle_heaps(idle))[0])
         assert strict_n <= grouped_n <= pooled_n
 
     @given(st.lists(st.integers(1, 128), min_size=1, max_size=30),
@@ -81,7 +83,7 @@ class TestPolicyOrdering:
     def test_property_strict_quality_is_total(self, lengths, idle):
         batch = [hit(i, length) for i, length in enumerate(lengths)]
         placements, _ = StrictClassAllocator((16, 32, 64, 128)).allocate(
-            batch, dict(idle))
+            batch, idle_heaps(idle))
         assert all(p.optimal for p in placements)
 
 

@@ -10,6 +10,7 @@ from repro.core.coordinator import (
     HitsBuffer,
     PooledAllocator,
     build_groups,
+    idle_heaps,
     split_thresholds,
 )
 from repro.core.workload import HitTask
@@ -119,10 +120,24 @@ class TestGrouping:
         assert allocator.group_of(103) == 1
 
 
+class TestIdleHeaps:
+    def test_one_ascending_heap_per_class(self):
+        assert idle_heaps({2: 64, 5: 16, 0: 16}) == {16: [0, 5], 64: [2]}
+
+    def test_allocate_pops_exactly_the_placed_units(self):
+        """The heaps are the caller's idle record: a placement removes its
+        unit, the lowest idle id of the class."""
+        idle = idle_heaps({0: 16, 1: 16, 2: 64})
+        placements, _ = HitsAllocator((16, 32, 64, 128)).allocate(
+            [hit(0, 8)], idle)
+        assert [p.unit_id for p in placements] == [0]
+        assert idle == {16: [1], 64: [2]}
+
+
 class TestHitsAllocator:
     def test_optimal_placement(self):
         allocator = HitsAllocator((16, 32, 64, 128))
-        idle = {0: 16, 1: 32, 2: 64, 3: 128}
+        idle = idle_heaps({0: 16, 1: 32, 2: 64, 3: 128})
         placements, unallocated = allocator.allocate(
             [hit(0, 8), hit(1, 30), hit(2, 60), hit(3, 120)], idle)
         assert not unallocated
@@ -132,7 +147,8 @@ class TestHitsAllocator:
     def test_suboptimal_within_group(self):
         allocator = HitsAllocator((16, 32, 64, 128))
         # only a 32-PE unit idle; a short hit takes it (sub-optimal)
-        placements, unallocated = allocator.allocate([hit(0, 8)], {5: 32})
+        placements, unallocated = allocator.allocate(
+            [hit(0, 8)], idle_heaps({5: 32}))
         assert len(placements) == 1
         assert placements[0].pe_count == 32
         assert not placements[0].optimal
@@ -140,15 +156,16 @@ class TestHitsAllocator:
     def test_never_crosses_groups(self):
         allocator = HitsAllocator((16, 32, 64, 128))
         # short hit, only big units idle -> deferred (Fig 10's hit_len 40)
-        placements, unallocated = allocator.allocate([hit(0, 8)],
-                                                     {5: 64, 6: 128})
+        placements, unallocated = allocator.allocate(
+            [hit(0, 8)], idle_heaps({5: 64, 6: 128}))
         assert not placements
         assert len(unallocated) == 1
 
     def test_unallocated_preserve_batch_order(self):
         allocator = HitsAllocator((16, 32, 64, 128))
         batch = [hit(0, 8), hit(1, 9), hit(2, 10)]
-        placements, unallocated = allocator.allocate(batch, {0: 16})
+        placements, unallocated = allocator.allocate(
+            batch, idle_heaps({0: 16}))
         assert len(placements) == 1
         assert [h.hit_idx for h in unallocated] == \
             [h.hit_idx for h in batch if h is not placements[0].hit]
@@ -157,12 +174,12 @@ class TestHitsAllocator:
         """Fig 10 step ❸: sorting by hit_len gives short hits priority."""
         allocator = HitsAllocator((16, 32, 64, 128))
         batch = [hit(0, 15), hit(1, 3)]
-        placements, _ = allocator.allocate(batch, {0: 16})
+        placements, _ = allocator.allocate(batch, idle_heaps({0: 16}))
         assert placements[0].hit.hit_idx == 1
 
     def test_counters(self):
         allocator = HitsAllocator((16, 32, 64, 128))
-        allocator.allocate([hit(0, 8), hit(1, 100)], {0: 16})
+        allocator.allocate([hit(0, 8), hit(1, 100)], idle_heaps({0: 16}))
         assert allocator.counters.get("allocated") == 1
         assert allocator.counters.get("deferred") == 1
 
@@ -174,14 +191,16 @@ class TestHitsAllocator:
 class TestPooledAllocator:
     def test_optimal_first(self):
         allocator = PooledAllocator((16, 32, 64, 128))
-        placements, _ = allocator.allocate([hit(0, 8)], {0: 128, 1: 16})
+        placements, _ = allocator.allocate(
+            [hit(0, 8)], idle_heaps({0: 128, 1: 16}))
         assert placements[0].pe_count == 16
         assert placements[0].optimal
 
     def test_aggressive_fallback_crosses_groups(self):
         """Method (2): short hits land on large units when small are busy."""
         allocator = PooledAllocator((16, 32, 64, 128))
-        placements, unallocated = allocator.allocate([hit(0, 8)], {5: 128})
+        placements, unallocated = allocator.allocate(
+            [hit(0, 8)], idle_heaps({5: 128}))
         assert len(placements) == 1
         assert placements[0].pe_count == 128
         assert not placements[0].optimal
@@ -192,7 +211,8 @@ class TestFIFOAllocator:
     def test_in_order_dispatch(self):
         allocator = FIFOAllocator((16, 32, 64, 128))
         batch = [hit(0, 100), hit(1, 5)]
-        placements, unallocated = allocator.allocate(batch, {3: 16, 7: 64})
+        placements, unallocated = allocator.allocate(
+            batch, idle_heaps({3: 16, 7: 64}))
         assert [p.unit_id for p in placements] == [3, 7]
         assert [p.hit.hit_idx for p in placements] == [0, 1]
         assert not unallocated
@@ -200,7 +220,7 @@ class TestFIFOAllocator:
     def test_excess_hits_deferred(self):
         allocator = FIFOAllocator((16,))
         placements, unallocated = allocator.allocate(
-            [hit(i, 5) for i in range(3)], {0: 16})
+            [hit(i, 5) for i in range(3)], idle_heaps({0: 16}))
         assert len(placements) == 1
         assert len(unallocated) == 2
 
@@ -213,10 +233,15 @@ def test_property_allocation_conserves_hits(lengths, idle):
     """Every hit is either placed exactly once or deferred exactly once."""
     allocator = HitsAllocator((16, 32, 64, 128))
     batch = [hit(i, length) for i, length in enumerate(lengths)]
-    placements, unallocated = allocator.allocate(batch, dict(idle))
+    heaps = idle_heaps(idle)
+    placements, unallocated = allocator.allocate(batch, heaps)
     placed_ids = [p.hit.hit_idx for p in placements]
     deferred_ids = [h.hit_idx for h in unallocated]
     assert sorted(placed_ids + deferred_ids) == sorted(h.hit_idx for h in batch)
     assert len(set(p.unit_id for p in placements)) == len(placements)
     for p in placements:
         assert idle[p.unit_id] == p.pe_count
+    # Every idle unit is either placed or still in its class heap, once.
+    remaining = [(uid, pe) for pe, ids in heaps.items() for uid in ids]
+    assert sorted(remaining + [(p.unit_id, p.pe_count) for p in placements]) \
+        == sorted(idle.items())

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.core.extension_scheduler import AllocateTrigger, HybridUnitsManager
-from repro.core.coordinator import Placement
+from repro.core.extension_scheduler import AllocateTrigger
 from repro.core.seeding_scheduler import SeedingScheduler
-from repro.core.workload import HitTask
-from repro.hw.extension_unit import ExtensionUnit
 from repro.sim.spm import Scratchpad
 
 
@@ -81,51 +78,3 @@ class TestAllocateTrigger:
             AllocateTrigger(0)
         with pytest.raises(ValueError):
             AllocateTrigger(4, idle_fraction=1.5)
-
-
-class TestHybridUnitsManager:
-    def _units(self):
-        return [ExtensionUnit(unit_id=i, pe_count=pe)
-                for i, pe in enumerate([16, 16, 64])]
-
-    def test_idle_census(self):
-        manager = HybridUnitsManager(self._units())
-        assert manager.idle_units() == {0: 16, 1: 16, 2: 64}
-
-    def test_dispatch_starts_units(self):
-        manager = HybridUnitsManager(self._units())
-        task = HitTask(read_idx=0, hit_idx=0, query_len=10, ref_len=18)
-        placement = Placement(hit=task, unit_id=0, pe_count=16, optimal=True)
-        finish_times = manager.dispatch([placement], now=100)
-        assert finish_times[0] > 100
-        assert manager.idle_units() == {1: 16, 2: 64}
-
-    def test_dispatch_wrong_pe_count_raises(self):
-        manager = HybridUnitsManager(self._units())
-        task = HitTask(read_idx=0, hit_idx=0, query_len=10, ref_len=18)
-        bad = Placement(hit=task, unit_id=0, pe_count=64, optimal=False)
-        with pytest.raises(ValueError):
-            manager.dispatch([bad], now=0)
-
-    def test_dispatch_unknown_unit_raises(self):
-        manager = HybridUnitsManager(self._units())
-        task = HitTask(read_idx=0, hit_idx=0, query_len=10, ref_len=18)
-        ghost = Placement(hit=task, unit_id=99, pe_count=16, optimal=True)
-        with pytest.raises(KeyError):
-            manager.dispatch([ghost], now=0)
-
-    def test_unit_lookup(self):
-        manager = HybridUnitsManager(self._units())
-        assert manager.unit(2).pe_count == 64
-        with pytest.raises(KeyError):
-            manager.unit(42)
-
-    def test_duplicate_ids_rejected(self):
-        units = [ExtensionUnit(unit_id=0, pe_count=16),
-                 ExtensionUnit(unit_id=0, pe_count=32)]
-        with pytest.raises(ValueError):
-            HybridUnitsManager(units)
-
-    def test_empty_pool_rejected(self):
-        with pytest.raises(ValueError):
-            HybridUnitsManager([])

@@ -126,10 +126,8 @@ class TestValidation:
 class TestUtilizationBridge:
     def test_busy_intervals_become_complete_events(self):
         util = UtilizationTrace(2, name="SUs")
-        util.begin(0, 0)
-        util.begin(1, 10)
-        util.end(1, 30)
-        util.end(0, 100)
+        util.add(0, 100)
+        util.add(10, 30)
         events = utilization_events(util, pid=5, us_per_cycle=0.5)
         meta = [e for e in events if e["ph"] == "M"]
         busy = [e for e in events if e["ph"] == "X"]
@@ -144,10 +142,8 @@ class TestUtilizationBridge:
     def test_rows_never_overlap(self):
         util = UtilizationTrace(2, name="EUs")
         # Overlapping intervals recorded out of end-cycle order.
-        util.begin(0, 0)
-        util.begin(1, 5)
-        util.end(1, 20)
-        util.end(0, 50)
+        util.add(0, 50)
+        util.add(5, 20)
         events = [e for e in utilization_events(util) if e["ph"] == "X"]
         rows = {}
         for event in events:
@@ -160,8 +156,7 @@ class TestUtilizationBridge:
 
     def test_validates_inside_a_chrome_trace(self):
         util = UtilizationTrace(1, name="SUs")
-        util.begin(0, 3)
-        util.end(0, 9)
+        util.add(3, 9)
         trace = chrome_trace(Tracer(),
                              extra_events=utilization_events(util, pid=2))
         assert trace_problems(trace) == []

@@ -47,13 +47,6 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             Engine().schedule(-1, lambda: None)
 
-    def test_schedule_at_past_raises(self):
-        engine = Engine()
-        engine.schedule(5, lambda: None)
-        engine.run()
-        with pytest.raises(SimulationError):
-            engine.schedule_at(2, lambda: None)
-
 
 class TestRunControl:
     def test_max_cycles_stops_early(self):
@@ -61,9 +54,9 @@ class TestRunControl:
         log = []
         engine.schedule(1, lambda: log.append(1))
         engine.schedule(100, lambda: log.append(100))
-        engine.run(max_cycles=50)
+        assert engine.run(max_cycles=50) == 1
         assert log == [1]
-        assert engine.pending == 1
+        assert engine.events_processed == 1
 
     def test_resume_after_max_cycles(self):
         engine = Engine()
@@ -82,14 +75,6 @@ class TestRunControl:
         engine.schedule(0, loop)
         with pytest.raises(SimulationError):
             engine.run(max_events=1000)
-
-    def test_step(self):
-        engine = Engine()
-        log = []
-        engine.schedule(1, lambda: log.append("x"))
-        assert engine.step()
-        assert not engine.step()
-        assert log == ["x"]
 
     def test_events_processed_counter(self):
         engine = Engine()

@@ -9,48 +9,41 @@ from repro.sim.stats import CounterSet, ThroughputResult, UtilizationTrace
 class TestUtilizationTrace:
     def test_single_unit_full_busy(self):
         trace = UtilizationTrace(1)
-        trace.begin(0, 0)
-        trace.end(0, 100)
+        trace.add(0, 100)
         assert trace.average_utilization(100) == pytest.approx(1.0)
 
     def test_half_busy(self):
         trace = UtilizationTrace(2)
-        trace.begin(0, 0)
-        trace.end(0, 100)
+        trace.add(0, 100)
         assert trace.average_utilization(100) == pytest.approx(0.5)
 
     def test_window_start(self):
         trace = UtilizationTrace(1)
-        trace.begin(0, 0)
-        trace.end(0, 50)
+        trace.add(0, 50)
         assert trace.average_utilization(100, start=50) == 0.0
         assert trace.average_utilization(100, start=0) == pytest.approx(0.5)
 
-    def test_double_begin_raises(self):
+    def test_end_before_start_raises(self):
+        with pytest.raises(ValueError):
+            UtilizationTrace(1).add(5, 4)
+
+    def test_empty_interval_not_recorded(self):
         trace = UtilizationTrace(1)
-        trace.begin(0, 0)
-        with pytest.raises(ValueError):
-            trace.begin(0, 5)
+        trace.add(7, 7)
+        assert trace.intervals() == []
 
-    def test_end_without_begin_raises(self):
-        with pytest.raises(ValueError):
-            UtilizationTrace(1).end(0, 5)
-
-    def test_unit_bounds(self):
-        with pytest.raises(IndexError):
-            UtilizationTrace(2).begin(2, 0)
-
-    def test_close_all(self):
+    def test_busy_cycles_counts_whole_intervals(self):
+        """An interval recorded at dispatch may run past a cut-short run:
+        ``busy_cycles`` counts it whole, the window readers clip it."""
         trace = UtilizationTrace(3)
-        trace.begin(0, 0)
-        trace.begin(1, 10)
-        trace.close_all(20)
-        assert trace.busy_cycles == 20 + 10
+        trace.add(0, 20)
+        trace.add(10, 40)
+        assert trace.busy_cycles == 20 + 30
+        assert trace.average_utilization(20) == pytest.approx(30 / 60)
 
     def test_series_shape_and_values(self):
         trace = UtilizationTrace(1)
-        trace.begin(0, 0)
-        trace.end(0, 50)
+        trace.add(0, 50)
         series = trace.series(100, bins=10)
         assert series.shape == (10,)
         assert np.allclose(series[:5], 1.0)
@@ -58,8 +51,7 @@ class TestUtilizationTrace:
 
     def test_series_partial_bin(self):
         trace = UtilizationTrace(1)
-        trace.begin(0, 0)
-        trace.end(0, 25)
+        trace.add(0, 25)
         series = trace.series(100, bins=2)
         assert series[0] == pytest.approx(0.5)
 
@@ -70,18 +62,16 @@ class TestUtilizationTrace:
         """Regression: an interval ending past the window must not hide
         later-recorded intervals.
 
-        ``_intervals`` is ordered by ``end()``-call time, not end cycle:
-        unit 0 runs past the window and closes *first*, so its interval
-        precedes unit 1's fully-in-window interval in the list.  The old
+        Intervals are recorded in start order, not end order: unit 0 runs
+        past the window and is recorded *first*, so its interval precedes
+        unit 1's fully-in-window interval in the list.  An old
         ``series()`` broke out of its loop at the first interval with
         ``end > total_cycles`` and silently dropped everything recorded
         after it.
         """
         trace = UtilizationTrace(2)
-        trace.begin(0, 0)
-        trace.begin(1, 10)
-        trace.end(0, 150)   # appended first, ends beyond the window
-        trace.end(1, 50)    # appended second, fully inside the window
+        trace.add(0, 150)   # recorded first, ends beyond the window
+        trace.add(10, 50)   # recorded second, fully inside the window
         series = trace.series(100, bins=10)
         # Unit 1's interval (cycles 10-50) must be present: bins 1-4
         # have both units busy.
@@ -96,18 +86,15 @@ class TestUtilizationTrace:
 
     def test_series_clips_interval_straddling_window_end(self):
         trace = UtilizationTrace(1)
-        trace.begin(0, 80)
-        trace.end(0, 200)
+        trace.add(80, 200)
         series = trace.series(100, bins=10)
         assert np.allclose(series[:8], 0.0)
         assert np.allclose(series[8:], 1.0)
 
     def test_intervals_snapshot(self):
         trace = UtilizationTrace(2)
-        trace.begin(0, 0)
-        trace.begin(1, 5)
-        trace.end(1, 9)
-        trace.end(0, 12)
+        trace.add(5, 9)
+        trace.add(0, 12)
         assert trace.intervals() == [(5, 9), (0, 12)]
         trace.intervals().append((99, 100))  # copies, does not alias
         assert trace.intervals() == [(5, 9), (0, 12)]
