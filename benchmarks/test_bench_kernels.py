@@ -16,11 +16,9 @@ from repro.genome.sequence import encode, random_sequence, reverse_complement
 from repro.seeding.bidirectional import BidirectionalFMIndex
 from repro.seeding.bwt import suffix_array
 from repro.seeding.fmindex import FMIndex
-from repro.seeding.minimizers import minimizers
 from repro.seeding.smem import find_smems
 from repro.seeding.store import IndexStore, write_index_store
 from repro.extension.bitap import myers_distances
-from repro.extension.gact import gact_align
 from repro.extension.needleman_wunsch import needleman_wunsch
 from repro.extension.smith_waterman import smith_waterman
 
@@ -129,33 +127,12 @@ def test_bench_needleman_wunsch_101bp(benchmark, text):
     assert alignment.cigar.reference_length == 111
 
 
-def test_bench_gact_long_read(benchmark, text):
-    """GACT over a 2 kbp long read with 2 % substitutions: 128-base
-    tiles, 32-base overlap, one global fill per tile."""
-    rng = random.Random(10)
-    ref = text[10_000:12_000]
-    query = "".join(rng.choice("ACGT".replace(base, "")) if rng.random() < 0.02
-                    else base for base in ref)
-
-    result = benchmark.pedantic(lambda: gact_align(query, ref),
-                                rounds=3, iterations=1)
-    assert result.alignment.cigar.query_length == 2000
-    assert result.tiles >= 2000 // 96
-
-
 def test_bench_myers_101_vs_1k(benchmark, text):
     pattern = text[5000:5101]
     window = text[4800:5800]
 
     distances = benchmark(lambda: myers_distances(pattern, window))
     assert min(distances) == 0
-
-
-def test_bench_minimizers_100k(benchmark, text):
-    ms = benchmark.pedantic(lambda: minimizers(text[:100_000], k=15, w=10),
-                            rounds=1, iterations=1)
-    density = len(ms) / 100_000
-    assert 0.05 < density < 0.5
 
 
 def test_bench_accelerator_cycle_rate(benchmark):

@@ -4,7 +4,7 @@ NvWa is a hardware-scheduling accelerator for seed-and-extend sequence
 alignment. This package contains the full stack the paper depends on:
 
 - ``repro.genome`` — references, reads, IO, dataset profiles.
-- ``repro.seeding`` — BWT/FM-index/SMEM/minimizer seeding algorithms.
+- ``repro.seeding`` — BWT/FM-index/SMEM seeding algorithms.
 - ``repro.extension`` — Smith-Waterman family + systolic-array cycle model.
 - ``repro.align`` — the end-to-end software aligner (functional ground truth).
 - ``repro.sim`` — cycle-driven simulation kernel and memory models.

@@ -1,14 +1,9 @@
-"""End-to-end alignment pipelines (short-read and long-read)."""
+"""The end-to-end short-read alignment pipeline, paired-end pairing and SAM."""
 
 from repro.align.pipeline import (
     PhaseWork,
     ReadAlignment,
     SoftwareAligner,
-)
-from repro.align.long_read import (
-    LongReadAligner,
-    LongReadAlignment,
-    LongReadWork,
 )
 from repro.align.paired import PairedAligner, PairedResult
 from repro.align.sam import (
@@ -22,7 +17,6 @@ from repro.align.sam import (
 
 __all__ = [
     "PhaseWork", "ReadAlignment", "SoftwareAligner",
-    "LongReadAligner", "LongReadAlignment", "LongReadWork",
     "PairedAligner", "PairedResult",
     "SamRecord", "parse_sam", "sam_header", "sam_record",
     "validate_record", "write_sam",

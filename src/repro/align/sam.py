@@ -1,9 +1,8 @@
-"""SAM output for the alignment pipelines.
+"""SAM output for the alignment pipeline.
 
 The deliverable a downstream user actually consumes: standard SAM records
 (header + one line per read) from :class:`~repro.align.pipeline.
-SoftwareAligner` or :class:`~repro.align.long_read.LongReadAligner`
-results. MAPQ follows the BWA-style heuristic of scaling the gap between
+SoftwareAligner` results. MAPQ follows the BWA-style heuristic of scaling the gap between
 the best and second-best alignment scores.
 """
 

@@ -55,10 +55,9 @@ def evaluate(results: Sequence, reference: ReferenceGenome,
              tolerance: int = 150) -> AccuracyReport:
     """Score pipeline results against the simulator's ground truth.
 
-    Works for both short-read (:class:`ReadAlignment`) and long-read
-    (:class:`LongReadAlignment`) results — both expose ``read``, ``best``
-    and ``aligned``. Reads without ground truth (real data) only count
-    toward the mapped fraction.
+    Takes :class:`ReadAlignment` results, or anything else that exposes
+    ``read``, ``best`` and ``aligned``. Reads without ground truth (real
+    data) only count toward the mapped fraction.
 
     Args:
         tolerance: maximum distance (bp) between the reported and true

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.core.units import NS_PER_S, READS_PER_KREAD
+from repro.units import NS_PER_S, READS_PER_KREAD
 from repro.core.workload import Workload
 
 

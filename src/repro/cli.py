@@ -8,7 +8,6 @@ Subcommands (``python -m repro`` works identically)::
     python -m repro index verify  x.idx
     python -m repro align     --reference x.fa --reads x.fq --out x.sam
     python -m repro align     --reference x.fa --reads x.fq --index x.idx
-    python -m repro align     --reference x.fa --reads x.fq --long
     python -m repro accelerate --dataset H.s. --reads 2000
     python -m repro accelerate --reference x.fa --reads-file x.fq
     python -m repro experiments fig11 fig13 --quick
@@ -158,27 +157,14 @@ def _open_index_for(reference, index_path: str):
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
+    from repro.align.sam import write_sam
     from repro.analysis.accuracy import evaluate
     from repro.genome.io import parse_fastq, read_reference
+    from repro.runtime.sharded import ShardedRunner
 
     trace_out = _start_tracing(args)
     reference = read_reference(args.reference)
     reads = list(parse_fastq(args.reads))
-    if args.long:
-        from repro.align.long_read import LongReadAligner
-        aligner = LongReadAligner(reference)
-        results = aligner.align_all(reads)
-        mapped = sum(1 for r in results if r.aligned)
-        print(f"long-read mode: mapped {mapped}/{len(reads)} reads")
-        if args.out:
-            print("note: SAM output currently covers the short-read "
-                  "pipeline; long-read results printed only")
-        return 0
-
-    from repro.align.sam import write_sam
-
-    from repro.runtime.sharded import ShardedRunner
-
     if args.index:
         _open_index_for(reference, args.index)  # fail fast on mismatch
     runner = ShardedRunner(parallelism=args.parallelism,
@@ -645,8 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", required=True)
     p.add_argument("--reads", required=True)
     p.add_argument("--out", help="SAM output path")
-    p.add_argument("--long", action="store_true",
-                   help="use the long-read (chain-then-fill) pipeline")
     p.add_argument("--shard-size", type=_AT_LEAST_ONE, default=256,
                    help="reads per shard: one worker task and one "
                         "batched extension step")

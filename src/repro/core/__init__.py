@@ -45,7 +45,6 @@ from repro.core.workload import (
     Workload,
     hit_extension_span,
     synthetic_workload,
-    workload_from_long_reads,
     workload_from_pipeline,
 )
 
@@ -85,8 +84,7 @@ __all__ = [
     "ScheduledLoad", "SeedingScheduler",
     "AllocateTrigger",
     "HitTask", "ReadTask", "Workload", "hit_extension_span",
-    "synthetic_workload", "workload_from_long_reads",
-    "workload_from_pipeline",
+    "synthetic_workload", "workload_from_pipeline",
     "AssignmentQuality", "NvWaAccelerator", "SimulationReport",
     "baseline",
 ]

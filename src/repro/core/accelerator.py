@@ -41,6 +41,11 @@ from repro.sim.spm import Scratchpad
 from repro.sim.stats import CounterSet, ThroughputResult, UtilizationTrace
 from repro.sim.trace import ExecutionTrace
 
+#: Cycles the PB is unavailable around a buffer switch (pointer swap,
+#: offset reset, SU restart handshake). Small buffers switch often and
+#: pay this repeatedly — one side of the Fig 13(a) trade-off.
+SWITCH_OVERHEAD_CYCLES = 24
+
 
 @dataclass(frozen=True)
 class ExtensionOutput:
@@ -146,17 +151,12 @@ class _Simulation:
         self.memory = MemoryModel(config.memory_spec)
         self.counters = CounterSet()
 
-        self.sus = [SeedingUnit(unit_id=i, memory=self.memory,
-                                pipeline_overhead=config.su_pipeline_overhead,
-                                cycles_per_access=config.su_cycles_per_access,
-                                sram_miss_rate=config.su_sram_miss_rate,
-                                memory_parallelism=config.su_memory_parallelism)
+        self.sus = [SeedingUnit(unit_id=i, memory=self.memory)
                     for i in range(config.num_seeding_units)]
         # EUs are numbered in eu_config order; self.eus is indexed by id.
         pes = [pe for pe, count in config.eu_config for _ in range(count)]
         self.eus = [ExtensionUnit(unit_id=uid, pe_count=pe,
-                                  datapath=config.eu_datapath,
-                                  load_overhead=config.eu_load_overhead)
+                                  datapath=config.eu_datapath)
                     for uid, pe in enumerate(pes)]
         #: The one record of which EUs are idle: PE class -> heap of ids.
         self.idle_eus = idle_heaps(dict(enumerate(pes)))
@@ -258,10 +258,8 @@ class _Simulation:
         if self.buffer.should_switch(producers_done=self.producers_done()):
             hits = self.buffer.switch()
             self._trace("Coordinator", "buffer_switch", hits=hits)
-            self.switch_ready_at = (self.engine.now
-                                    + self.config.switch_overhead_cycles)
-            self.engine.schedule(self.config.switch_overhead_cycles,
-                                 self.pump_allocation)
+            self.switch_ready_at = self.engine.now + SWITCH_OVERHEAD_CYCLES
+            self.engine.schedule(SWITCH_OVERHEAD_CYCLES, self.pump_allocation)
             self.retry_suspended()
 
     def retry_suspended(self) -> None:

@@ -43,10 +43,6 @@ class NvWaConfig:
     switch_threshold: float = 0.75
     idle_trigger_fraction: float = 0.15
     allocation_batch_size: int = 64
-    #: Cycles the PB is unavailable around a buffer switch (pointer swap,
-    #: offset reset, SU restart handshake). Small buffers switch often and
-    #: pay this repeatedly — one side of the Fig 13(a) trade-off.
-    switch_overhead_cycles: int = 24
     #: The Coordinator's hits-fragmentation fix (Fig 10 steps ❼-❾): move
     #: allocated hits past the offset and retry deferred ones first. Off,
     #: a batch only retires when *every* hit in it has been placed —
@@ -68,7 +64,8 @@ class NvWaConfig:
     #: each hit's read x window. The software pipeline instead extends
     #: only the flanks of the chain's longest seed, so a hit's record can
     #: differ between the two; one hit-length definition for both is
-    #: ROADMAP item 3. Costs real SW compute.
+    #: the ROADMAP item "One hit record from read to EU". Costs real SW
+    #: compute.
     functional_execution: bool = False
 
     # Scheduling feature flags.
@@ -82,16 +79,6 @@ class NvWaConfig:
     # Memory system.
     memory_spec: MemorySpec = HBM_1_0
     spm_capacity_reads: int = 4096
-
-    # Unit timing knobs. The SU's Table SRAM keeps Occ blocks on chip
-    # (Table II: SRAM dominates SU area), so the pipelined LF loop retires
-    # ~1 access/cycle with a small HBM miss fraction — balancing seeding
-    # and extension demand as in the paper's Fig 2.
-    su_memory_parallelism: int = 4
-    su_pipeline_overhead: int = 4
-    su_cycles_per_access: int = 1
-    su_sram_miss_rate: float = 0.02
-    eu_load_overhead: int = 2
 
     #: Class set used for the Fig 12(e/f) assignment-quality metric. Kept
     #: fixed across ablations so uniform pools are judged against the same

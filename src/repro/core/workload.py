@@ -48,7 +48,8 @@ class HitTask:
     each extension functionally, not just time it.  The EU runs a
     full-window ``smith_waterman`` over these sequences, whereas the
     software pipeline extends only the flanks of the chain's longest
-    seed; making both use one hit-length definition is ROADMAP item 3.
+    seed; making both use one hit-length definition is the ROADMAP item
+    "One hit record from read to EU".
     """
 
     read_idx: int
@@ -195,31 +196,6 @@ def workload_from_pipeline(results: Sequence["ReadAlignment"],
                                 query_seq=query_seq, ref_seq=ref_seq))
         tasks.append(ReadTask(read_idx=idx,
                               seeding_accesses=result.work.seeding_accesses,
-                              hits=tuple(hits)))
-    return Workload(tasks)
-
-
-def workload_from_long_reads(results: Sequence,
-                             accesses_per_anchor: int = 3) -> Workload:
-    """Convert long-read (chain-then-fill) results into a workload.
-
-    Seeding work is the minimizer lookups (hash-table accesses per matched
-    anchor); each surviving chain becomes one GACT-scale extension task
-    whose window the EU tiles through (Sec. V-F / Sec. VI).
-    """
-    if accesses_per_anchor <= 0:
-        raise ValueError("accesses_per_anchor must be positive")
-    tasks = []
-    for idx, result in enumerate(results):
-        accesses = max(1, result.work.minimizers_matched
-                       * accesses_per_anchor)
-        hits = []
-        if result.aligned:
-            span = result.best.read_span
-            window = max(1, result.best.ref_span)
-            hits.append(HitTask(read_idx=idx, hit_idx=0,
-                                query_len=max(1, span), ref_len=window))
-        tasks.append(ReadTask(read_idx=idx, seeding_accesses=accesses,
                               hits=tuple(hits)))
     return Workload(tasks)
 

@@ -13,8 +13,6 @@ from repro.extension.smith_waterman import (
     smith_waterman,
 )
 from repro.extension.needleman_wunsch import extend, needleman_wunsch
-from repro.extension.gact import GACTResult, gact_align
-from repro.extension.banded import BandedResult, banded_global
 from repro.extension.bitap import (
     best_semi_global_distance,
     bitap_exact_positions,
@@ -39,8 +37,6 @@ __all__ = [
     "alignment_from_matrices", "fill_matrices", "fill_matrices_scalar",
     "smith_waterman",
     "extend", "needleman_wunsch",
-    "GACTResult", "gact_align",
-    "BandedResult", "banded_global",
     "best_semi_global_distance", "bitap_exact_positions", "bitap_search",
     "edit_distance", "genasm_latency", "myers_distances",
     "BlockSchedule", "SystolicArray", "block_schedule", "gact_tiled_latency",

@@ -1,8 +1,8 @@
 """Affine-gap Needleman-Wunsch global alignment and seed extension.
 
-The global counterpart of the local aligner, used by the GACT-style tiling
-path for long reads (Darwin extends tile by tile with global alignment
-inside each tile) and as a reference point in tests.
+:func:`needleman_wunsch` is the global counterpart of the local aligner.
+Tests check it, and with it the global edges that :func:`extend` fills,
+against the scalar oracle fill.
 
 :func:`extend` is the short-read pipeline's flank kernel (BWA-MEM's
 ``ksw_extend``): the start is anchored at a seed boundary, so the fill has

@@ -5,8 +5,8 @@ matching") and the functional model behind the systolic-array EUs. Like
 the EUs, which all run one Smith-Waterman datapath in different shapes,
 the software has one vectorised fill, :func:`fill_matrices`: it stacks
 ``k`` same-shaped pairs, and its ``local`` flag picks Smith-Waterman or
-the Needleman-Wunsch edges used by :mod:`~repro.extension.needleman_wunsch`
-and :mod:`~repro.extension.gact`.  Rows are filled with the lazy-F
+the Needleman-Wunsch edges used by
+:mod:`~repro.extension.needleman_wunsch`.  Rows are filled with the lazy-F
 formulation (the horizontal gap chain is resolved with a prefix-max, which
 is exact for affine gaps because opening a second gap can never beat
 extending the first); a scalar reference implementation is kept alongside
@@ -108,22 +108,33 @@ def fill_matrices(read_stack: np.ndarray, ref_stack: np.ndarray,
 
 
 def fill_matrices_scalar(read_codes: np.ndarray, ref_codes: np.ndarray,
-                         scoring: ScoringScheme) -> DPMatrices:
-    """Straightforward O(mn) scalar fill — the oracle for the fast path."""
+                         scoring: ScoringScheme,
+                         local: bool = True) -> DPMatrices:
+    """Straightforward O(mn) scalar fill — the oracle for the fast path.
+
+    ``local`` has the meaning it has in :func:`fill_matrices`.
+    """
     m, n = read_codes.size, ref_codes.size
     open_ext = scoring.gap_open + scoring.gap_extend
     ext = scoring.gap_extend
+    floor = 0 if local else NEG
 
-    h = np.zeros((m + 1, n + 1), dtype=np.int64)
+    h = np.full((m + 1, n + 1), floor, dtype=np.int64)
     e = np.full((m + 1, n + 1), NEG, dtype=np.int64)
     f = np.full((m + 1, n + 1), NEG, dtype=np.int64)
+    if not local:
+        h[0, 0] = 0
+        for j in range(1, n + 1):
+            h[0, j] = f[0, j] = scoring.gap_open + ext * j
+        for i in range(1, m + 1):
+            h[i, 0] = e[i, 0] = scoring.gap_open + ext * i
     for i in range(1, m + 1):
         for j in range(1, n + 1):
             e[i, j] = max(e[i - 1, j] + ext, h[i - 1, j] + open_ext)
             f[i, j] = max(f[i, j - 1] + ext, h[i, j - 1] + open_ext)
             diag = h[i - 1, j - 1] + scoring.substitution(
                 int(read_codes[i - 1]), int(ref_codes[j - 1]))
-            h[i, j] = max(0, diag, e[i, j], f[i, j])
+            h[i, j] = max(floor, diag, e[i, j], f[i, j])
     return DPMatrices(h, e, f)
 
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.units import BITS_PER_BYTE, UM2_PER_MM2
+from repro.units import BITS_PER_BYTE, UM2_PER_MM2
 from repro.genome.sequence import ALPHABET_SIZE
 
 #: 14 nm 6T SRAM density including array overheads, square microns per bit

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.units import PS_PER_S
+from repro.units import PS_PER_S
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Seeding-phase substrate: BWT, FM-index, the two-strand FMD-index and its
-SMEMs, the on-disk index store, minimizers, chaining."""
+SMEMs, the on-disk index store, chaining."""
 
 from repro.seeding.bwt import (
     SENTINEL,
@@ -12,18 +12,10 @@ from repro.seeding.bwt import (
 from repro.seeding.fmindex import AccessStats, FMIndex, SAInterval
 from repro.seeding.bidirectional import BidirectionalFMIndex, BiInterval
 from repro.seeding.smem import SMEM, find_smems, smems_covering
-from repro.seeding.minimizers import (
-    Minimizer,
-    MinimizerHit,
-    MinimizerIndex,
-    hash64,
-    minimizers,
-)
 from repro.seeding.chaining import (
     Anchor,
     Chain,
     chain_anchors,
-    chain_anchors_dp,
     filter_anchors,
     top_chains,
 )
@@ -54,15 +46,9 @@ __all__ = [
     "SMEM",
     "find_smems",
     "smems_covering",
-    "Minimizer",
-    "MinimizerHit",
-    "MinimizerIndex",
-    "hash64",
-    "minimizers",
     "Anchor",
     "Chain",
     "chain_anchors",
-    "chain_anchors_dp",
     "filter_anchors",
     "top_chains",
     "FORMAT_VERSION",

@@ -9,7 +9,6 @@ whole Extension Scheduler design keys on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -139,73 +138,3 @@ def top_chains(chains: Sequence[Chain], limit: int) -> List[Chain]:
         raise ValueError(f"limit must be positive, got {limit}")
     ranked = sorted(chains, key=lambda c: c.anchor_bases, reverse=True)
     return ranked[:limit]
-
-
-def _chain_gap_penalty(q_gap: int, r_gap: int, gap_scale: float = 0.05) -> float:
-    """minimap2-style pairing penalty: diagonal drift plus log gap term."""
-    drift = abs(q_gap - r_gap)
-    gap = max(q_gap, r_gap)
-    penalty = gap_scale * drift
-    if gap > 0:
-        penalty += 0.5 * math.log2(gap + 1)
-    return penalty
-
-
-def chain_anchors_dp(
-    anchors: Sequence[Anchor],
-    max_gap: int = 500,
-    lookback: int = 50,
-    gap_scale: float = 0.05,
-    min_score: float = 1.0,
-) -> List[Chain]:
-    """Optimal co-linear chaining by dynamic programming (minimap2-style).
-
-    Scores each anchor pair by the anchor weight minus a penalty for
-    diagonal drift and gap length, takes the best predecessor within a
-    bounded lookback window (the O(n·h) heuristic minimap2 uses), then
-    peels non-overlapping chains best-first. Strands never mix.
-
-    Compared with :func:`chain_anchors` (greedy single pass), the DP
-    tolerates spurious off-diagonal anchors interleaved with the true
-    chain — the long-read regime where greedy chaining fractures.
-    """
-    if max_gap < 0:
-        raise ValueError(f"max_gap must be >= 0, got {max_gap}")
-    if lookback <= 0:
-        raise ValueError(f"lookback must be positive, got {lookback}")
-    ordered = sorted(anchors, key=lambda a: (a.reverse, a.ref_start, a.read_start))
-    n = len(ordered)
-    score = [float(a.length) for a in ordered]
-    parent = [-1] * n
-    for i in range(n):
-        a = ordered[i]
-        for j in range(max(0, i - lookback), i):
-            b = ordered[j]
-            if b.reverse != a.reverse:
-                continue
-            q_gap = a.read_start - b.read_end
-            r_gap = a.ref_start - b.ref_end
-            if q_gap < 0 or r_gap < 0:
-                continue  # overlapping or out of order
-            if max(q_gap, r_gap) > max_gap:
-                continue
-            candidate = score[j] + a.length - _chain_gap_penalty(q_gap, r_gap, gap_scale)
-            if candidate > score[i]:
-                score[i] = candidate
-                parent[i] = j
-
-    used = [False] * n
-    chains: List[Chain] = []
-    for i in sorted(range(n), key=lambda k: score[k], reverse=True):
-        if used[i] or score[i] < min_score:
-            continue
-        path = []
-        k = i
-        while k != -1 and not used[k]:
-            path.append(k)
-            used[k] = True
-            k = parent[k]
-        path.reverse()
-        group = [ordered[k] for k in path]
-        chains.append(Chain(tuple(group), group[0].reverse))
-    return chains

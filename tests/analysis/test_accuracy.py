@@ -40,13 +40,3 @@ class TestEvaluate:
         assert report.precision == pytest.approx(0.75)
         assert report.recall == pytest.approx(0.6)
         assert 0 < report.f1 < 1
-
-    def test_long_read_results_supported(self, reference):
-        from repro.align.long_read import LongReadAligner
-        aligner = LongReadAligner(reference)
-        sim = ReadSimulator(reference, read_length=800,
-                            error_model=ErrorModel(0, 0, 0), seed=2)
-        report = evaluate(aligner.align_all(sim.simulate(5)), reference,
-                          tolerance=100)
-        assert report.mapped_fraction >= 0.8
-        assert report.precision >= 0.8

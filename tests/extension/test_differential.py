@@ -6,9 +6,7 @@ defaults and a harsh scheme whose penalties dwarf a match:
 
 - vectorised ``smith_waterman`` vs its scalar oracle, whole ``Alignment``;
 - each pair alone vs inside a mixed-shape ``smith_waterman_batch`` call;
-- ``needleman_wunsch`` vs a full-width scalar ``banded_global``;
-- vectorised vs scalar ``banded_global`` at random valid bands;
-- one-tile ``gact_align`` vs ``needleman_wunsch``;
+- ``needleman_wunsch`` vs the scalar global fill, score and CIGAR;
 - local score >= global score;
 - ``edit_distance`` and Myers' semi-global distances vs plain Levenshtein.
 """
@@ -16,16 +14,21 @@ defaults and a harsh scheme whose penalties dwarf a match:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.extension.banded import banded_global
 from repro.extension.bitap import (
     best_semi_global_distance,
     edit_distance,
     myers_distances,
 )
-from repro.extension.gact import gact_align
-from repro.extension.needleman_wunsch import needleman_wunsch
+from repro.extension.needleman_wunsch import (
+    needleman_wunsch,
+    traceback_global,
+)
 from repro.extension.scoring import BWA_MEM_SCORING, ScoringScheme
-from repro.extension.smith_waterman import smith_waterman
+from repro.extension.smith_waterman import (
+    fill_matrices_scalar,
+    smith_waterman,
+)
+from repro.genome.sequence import as_codes
 from repro.runtime.batch import smith_waterman_batch
 
 HARSH_SCORING = ScoringScheme(match=2, mismatch=-7, gap_open=-5,
@@ -79,35 +82,13 @@ def test_batch_member_equals_alone(pairs, scheme):
 
 @given(dna, dna, schemes)
 @settings(max_examples=60, deadline=None)
-def test_global_equals_full_width_banded(read, ref, scheme):
+def test_global_equals_scalar_global_fill(read, ref, scheme):
     full = needleman_wunsch(read, ref, scoring=scheme)
-    banded = banded_global(read, ref, scoring=scheme, use_scalar=True,
-                           band_width=max(len(read), len(ref)))
-    assert banded.alignment.score == full.score
-    assert banded.alignment.cigar == full.cigar
-
-
-@given(dna, dna, schemes, st.integers(min_value=0, max_value=12))
-@settings(max_examples=60, deadline=None)
-def test_banded_vectorised_equals_scalar(read, ref, scheme, slack):
-    band = abs(len(read) - len(ref)) + slack
-    if band == 0:
-        band = 1
-    fast = banded_global(read, ref, band_width=band, scoring=scheme)
-    slow = banded_global(read, ref, band_width=band, scoring=scheme,
-                         use_scalar=True)
-    assert fast == slow
-
-
-@given(dna, dna, schemes)
-@settings(max_examples=60, deadline=None)
-def test_single_tile_gact_equals_global(read, ref, scheme):
-    tile = max(len(read), len(ref), 2)
-    gact = gact_align(read, ref, tile_size=tile, overlap=0, scoring=scheme)
-    full = needleman_wunsch(read, ref, scoring=scheme)
-    assert gact.tiles == 1
-    assert gact.alignment.score == full.score
-    assert gact.alignment.cigar == full.cigar
+    read_codes, ref_codes = as_codes(read), as_codes(ref)
+    oracle = fill_matrices_scalar(read_codes, ref_codes, scheme, local=False)
+    assert full.score == oracle.h[-1, -1]
+    assert full.cigar == traceback_global(oracle, read_codes, ref_codes,
+                                          scheme)
 
 
 @given(dna, dna, schemes)

@@ -9,7 +9,8 @@ seed.  So the EU scores are checked against a full-window oracle over
 the pipeline's hits, and each read's best EU score must reach the
 pipeline's best, under every scheduling configuration (scheduling
 reorders work; it must never change results).  One hit-length
-definition for the software and the EU is ROADMAP item 3.
+definition for the software and the EU is the ROADMAP item "One hit
+record from read to EU".
 """
 
 from dataclasses import replace

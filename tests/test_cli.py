@@ -42,16 +42,6 @@ class TestAlign:
                 if not l.startswith("@")]
         assert len(body) == 30
 
-    def test_long_mode_runs(self, tmp_path, capsys):
-        prefix = tmp_path / "long"
-        main(["simulate", "--length", "30000", "--reads", "5",
-              "--read-length", "800", "--error-rate", "0.01",
-              "--out-prefix", str(prefix)])
-        code = main(["align", "--reference", f"{prefix}.fa",
-                     "--reads", f"{prefix}.fq", "--long"])
-        assert code == 0
-        assert "long-read mode" in capsys.readouterr().out
-
 
 class TestIndexCommands:
     @pytest.fixture(scope="class")
